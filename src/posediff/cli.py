@@ -29,10 +29,9 @@ from .data import (
     synth_generate_multi,
 )
 from .exceptions import ConfigError, PoseDiffError
-from .metrics import auc, mpjpe, p_mpjpe, pck
+from .metrics import REPORT_METRICS, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
-from .rng import rng_for
-from .sampler import character_seed, default_camera, estimate_single
+from .sampler import character_seed, default_camera, estimate_single, scene_seed
 from .training import (
     Trainer,
     read_checkpoint,
@@ -41,17 +40,7 @@ from .training import (
     save_checkpoint,
 )
 
-REPORT_COLUMNS = (
-    "scope",
-    "id",
-    "action",
-    "frames",
-    "joints",
-    "mpjpe_mm",
-    "p_mpjpe_mm",
-    "pck150_percent",
-    "auc_percent",
-)
+REPORT_COLUMNS = ("scope", "id", "action", "frames", "joints", *REPORT_METRICS)
 
 
 def _fmt(v: float) -> str:
@@ -120,10 +109,11 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
             )
         restore_trainer(trainer, tensors, meta)
 
+    tcfg = trainer.cfg
     if max_steps is None:
-        max_steps = cfg["train"]["max_steps"]
-    target_epochs = cfg["train"]["epochs"] if epochs is None else epochs
-    every = cfg["train"]["checkpoint_every"]
+        max_steps = tcfg.max_steps
+    target_epochs = tcfg.epochs if epochs is None else epochs
+    every = tcfg.checkpoint_every
     while trainer.epoch < target_epochs:
         trainer.train_epoch(samples, max_steps=max_steps)
         done = max_steps is not None and trainer.opt.step_count >= max_steps
@@ -217,16 +207,13 @@ def run_estimate(
     if not records:
         raise ConfigError(f"dataset {data_path} holds no sequences")
 
-    # characters of one scene share a scene seed and get per-character streams,
-    # matching the documented multi-human derivation rule
-    def record_seed(rec):
-        if rec.scene is not None and rec.character is not None:
-            scene_seed = int(rng_for(base_seed, "estimate", rec.scene).integers(0, 2**63 - 1))
-            return character_seed(scene_seed, rec.character)
-        return int(rng_for(base_seed, "estimate", rec.seq_id).integers(0, 2**63 - 1))
-
     def work(rec):
-        return _estimate_record(rec, runtime, H, M, record_seed(rec), jpma_per_frame)
+        # a scene's characters get the streams estimate_multi gives them
+        if rec.scene is not None and rec.character is not None:
+            seed = character_seed(scene_seed(base_seed, rec.scene), rec.character)
+        else:
+            seed = scene_seed(base_seed, rec.seq_id)
+        return _estimate_record(rec, runtime, H, M, seed, jpma_per_frame)
 
     workers = _worker_count()
     if workers > 1:
@@ -278,64 +265,35 @@ def _pair_predictions(pred_tensors, records):
         )
 
 
-def run_eval(pred_path, data_path, out_dir, rigid_only=False):
+def run_eval(pred_path, data_path, out_dir, rigid_only=None):
+    """Score predictions; ``rigid_only=None`` takes the predictions' sample.rigid_only."""
     os.makedirs(out_dir, exist_ok=True)
     pred_tensors, pred_meta = read_container(pred_path)
     if pred_meta.get("kind") != "predictions":
         raise ConfigError(f"{pred_path}: not a predictions container")
+    if rigid_only is None:
+        rigid_only = pred_meta.get("config", {}).get("sample", {}).get("rigid_only", False)
     records = load_dataset(data_path)
     _pair_predictions(pred_tensors, records)
 
-    rows = []
+    pairs = []
     per_joint_rows = []
-    by_action = {}
     for rec in sorted(records, key=lambda r: r.seq_id):
         if rec.gt_3d is None:
             raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
         pred = pred_tensors[f"pred/{rec.seq_id}/poses"]
         mask = rec.presence if rec.presence is not None else np.ones(rec.n_frames, bool)
-        p, g = pred[mask], rec.gt_3d[mask]
-        seq = {
-            "mpjpe_mm": mpjpe(p, g),
-            "p_mpjpe_mm": p_mpjpe(p, g, rigid_only=rigid_only),
-            "pck150_percent": pck(p, g),
-            "auc_percent": auc(p, g),
-        }
-        rows.append(
-            ("sequence", rec.seq_id, rec.action, int(mask.sum()), rec.n_joints, seq)
-        )
-        by_action.setdefault(rec.action, []).append(seq)
+        pairs.append((rec.seq_id, rec.action, pred[mask], rec.gt_3d[mask]))
         for j, err in enumerate(per_joint_error_rows(pred, rec.gt_3d, mask)):
             per_joint_rows.append((rec.seq_id, j, err))
 
-    metric_keys = ("mpjpe_mm", "p_mpjpe_mm", "pck150_percent", "auc_percent")
-    action_rows = []
-    for action in sorted(by_action):
-        seqs = by_action[action]
-        agg = {k: float(np.mean([s[k] for s in seqs])) for k in metric_keys}
-        n = sum(1 for r in rows if r[0] == "sequence" and r[2] == action)
-        action_rows.append(("action", action, action, n, rows[0][4], agg))
-    overall = {
-        k: float(np.mean([r[5][k] for r in rows if r[0] == "sequence"]))
-        for k in metric_keys
-    }
-    by_action_avg = {
-        k: float(np.mean([r[5][k] for r in action_rows])) for k in metric_keys
-    }
-    n_seq = sum(1 for r in rows if r[0] == "sequence")
-    rows.extend(action_rows)
-    rows.append(("overall", "overall", "", n_seq, rows[0][4], overall))
-    rows.append(("overall_by_action", "overall_by_action", "", n_seq, rows[0][4], by_action_avg))
-
+    rows = compute_report(pairs, rigid_only=rigid_only)
     report_path = os.path.join(out_dir, "report.csv")
     with open(report_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REPORT_COLUMNS)
-        for scope, rid, action, frames, joints, m in rows:
-            w.writerow(
-                [scope, rid, action, frames, joints]
-                + [_fmt(m[k]) for k in metric_keys]
-            )
+        for *labels, m in rows:
+            w.writerow(labels + [_fmt(m[k]) for k in REPORT_METRICS])
     per_joint_path = os.path.join(out_dir, "per_joint.csv")
     with open(per_joint_path, "w", newline="") as f:
         w = csv.writer(f)
@@ -434,7 +392,8 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rigid-only", action="store_true")
+    p.add_argument("--rigid-only", action="store_true", default=None,
+                   help="rigid P-MPJPE alignment (default: the predictions' sample.rigid_only)")
 
     p = sub.add_parser("plot", help="render one sequence as SVG + error CSV")
     p.add_argument("--predictions", required=True)

@@ -9,6 +9,7 @@ published optimizer/sampler settings; runnable but slow).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -26,16 +27,11 @@ DEFAULTS = {
     "seed": 0,
     "dtype": "float32",
     "schedule": {"T": 1000, "kind": "cosine", "beta_min": 1e-4, "beta_max": 0.02},
+    # the model and train sections are the dataclasses' fields and defaults
     "model": {
-        "feature_dim": 512,
-        "heads": 8,
-        "blocks_spatial": 1,
-        "blocks_temporal": 1,
-        "blocks_spatio_temporal": 3,
-        "mlp_ratio": 2.0,
-        "use_fpp": True,
-        "use_fpc": True,
-        "use_pts": True,
+        f.name: f.default
+        for f in dataclasses.fields(DenoiserConfig)
+        if f.name not in ("n_frames", "n_joints")  # set from the data section
     },
     "prompt": {"encoder": "hashed", "encoder_seed": 0, "embeddings_file": None},
     "data": {
@@ -43,18 +39,7 @@ DEFAULTS = {
         "n_joints": 17,
         "normalize": "root_centered",
     },
-    "train": {
-        "epochs": 100,
-        "batch_size": 4,
-        "lr0": 6e-5,
-        "lr_decay": 0.993,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "weight_decay": 0.1,
-        "grad_clip": None,
-        "max_steps": None,
-        "checkpoint_every": 1,
-    },
+    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig)},
     "sample": {
         "hypotheses": 20,
         "iterations": 10,
@@ -160,17 +145,7 @@ class Runtime:
         self.sched = build_schedule(s["T"], s["kind"], s["beta_min"], s["beta_max"])
         m = cfg["model"]
         self.model_config = DenoiserConfig(
-            n_frames=cfg["data"]["n_frames"],
-            n_joints=cfg["data"]["n_joints"],
-            feature_dim=m["feature_dim"],
-            heads=m["heads"],
-            blocks_spatial=m["blocks_spatial"],
-            blocks_temporal=m["blocks_temporal"],
-            blocks_spatio_temporal=m["blocks_spatio_temporal"],
-            mlp_ratio=m["mlp_ratio"],
-            use_fpp=m["use_fpp"],
-            use_fpc=m["use_fpc"],
-            use_pts=m["use_pts"],
+            n_frames=cfg["data"]["n_frames"], n_joints=cfg["data"]["n_joints"], **m
         )
         self.model = Denoiser.create(self.model_config, seed=cfg["seed"], dtype=self.dtype)
         self.bank = None
@@ -187,17 +162,7 @@ class Runtime:
             self.bank = PromptBank(
                 PromptSpec(), encoder, seed=cfg["seed"], dtype=self.dtype
             )
-        t = cfg["train"]
-        self.train_config = TrainConfig(
-            epochs=t["epochs"],
-            batch_size=t["batch_size"],
-            lr0=t["lr0"],
-            lr_decay=t["lr_decay"],
-            adam_beta1=t["adam_beta1"],
-            adam_beta2=t["adam_beta2"],
-            weight_decay=t["weight_decay"],
-            grad_clip=t["grad_clip"],
-        )
+        self.train_config = TrainConfig(**cfg["train"])
 
     def prompt_for(self, action: str | None):
         if self.bank is None:

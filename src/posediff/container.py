@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -65,8 +65,9 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ptc.tmp")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    # created 0o666 so the kernel applies the umask, as for any new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(MAGIC)

@@ -227,15 +227,22 @@ class Denoiser:
         x = x.permute(axes[:-3] + (axes[-2], axes[-3], axes[-1]))
         return x.reshape(*x.shape[:-2], self.config.feature_dim)
 
-    def _self_attention(self, x: Tensor, prefix: str, attn_sink=None) -> Tensor:
-        """Pre-norm residual MHSA over the second-to-last axis of (B, S, D)."""
+    def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None) -> Tensor:
+        """Pre-norm residual multi-head attention over x's second-to-last axis.
+
+        Queries come from the layer-normed x. Keys and values come from the
+        same normed x (self-attention) or from the ``context`` rows as given
+        (cross-attention).
+        """
         w = self._w
         h = layer_norm(x, w(f"{prefix}/ln/scale"), w(f"{prefix}/ln/offset"), LN_EPS)
+        kv = h if context is None else context
         q = self._split_heads(linear(h, w(f"{prefix}/wq"), w(f"{prefix}/bq")))
-        k = self._split_heads(linear(h, w(f"{prefix}/wk"), w(f"{prefix}/bk")))
-        v = self._split_heads(linear(h, w(f"{prefix}/wv"), w(f"{prefix}/bv")))
+        k = self._split_heads(linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk")))
+        v = self._split_heads(linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv")))
         scale = 1.0 / math.sqrt(self.config.head_dim)
-        attn = softmax(q @ k.permute(0, 1, 3, 2) * scale, axis=-1)
+        *lead, rows, cols = range(k.ndim)
+        attn = softmax(q @ k.permute(*lead, cols, rows) * scale, axis=-1)
         if attn_sink is not None:
             attn_sink.append(attn.data)
         out = self._merge_heads(attn @ v)
@@ -250,10 +257,10 @@ class Denoiser:
     def mhsa_block(self, f: Tensor, axis: str, block: str, attn_sink=None) -> Tensor:
         """One transformer block; ``axis`` picks joint-wise or frame-wise attention."""
         if axis == "spatial":
-            f = self._self_attention(f, f"{block}/attn", attn_sink)
+            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink)
         elif axis == "temporal":
             f = f.permute(1, 0, 2)
-            f = self._self_attention(f, f"{block}/attn", attn_sink)
+            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink)
             f = f.permute(1, 0, 2)
         else:
             raise ConfigError(f"unknown attention axis {axis!r}")
@@ -269,19 +276,8 @@ class Denoiser:
                 f"prompt matrix is {prompt.tokens.shape}, expected "
                 f"({TOTAL_TOKENS}, {self.config.feature_dim})"
             )
-        w = self._w
         n, j, d = f.shape
-        flat = f.reshape(n * j, d)
-        h = layer_norm(flat, w("cross/ln/scale"), w("cross/ln/offset"), LN_EPS)
-        q = self._split_heads(linear(h, w("cross/wq"), w("cross/bq")))
-        k = self._split_heads(linear(prompt.tokens, w("cross/wk"), w("cross/bk")))
-        v = self._split_heads(linear(prompt.tokens, w("cross/wv"), w("cross/bv")))
-        scale = 1.0 / math.sqrt(self.config.head_dim)
-        attn = softmax(q @ k.permute(0, 2, 1) * scale, axis=-1)
-        if attn_sink is not None:
-            attn_sink.append(attn.data)
-        out = self._merge_heads(attn @ v)
-        out = flat + linear(out, w("cross/wo"), w("cross/bo"))
+        out = self._attention(f.reshape(n * j, d), "cross", prompt.tokens, attn_sink)
         return out.reshape(n, j, d)
 
     def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t) -> Tensor:

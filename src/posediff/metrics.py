@@ -8,7 +8,7 @@ transform (rotation + translation + scale, the community P-MPJPE protocol);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class MetricReport:
     p_mpjpe_mm: float
     pck_percent: float
     auc_percent: float
-    per_action: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.p_mpjpe_mm > self.mpjpe_mm + 1e-9:
@@ -120,27 +119,45 @@ class MetricReport:
                 raise NumericsError(f"percentage {v} outside [0, 100]")
 
 
-def compute_report(pairs, rigid_only: bool = False) -> MetricReport:
-    """Aggregate metrics over [(action, pred, gt), ...] sequence triples.
+REPORT_METRICS = ("mpjpe_mm", "p_mpjpe_mm", "pck150_percent", "auc_percent")
 
-    Frame-level metrics average over all frames of all sequences; the
-    per-action map averages sequence MPJPE within each action class first.
+
+def _mean(scores: list) -> dict:
+    return {k: float(np.mean([s[k] for s in scores])) for k in REPORT_METRICS}
+
+
+def compute_report(sequences, rigid_only: bool = False) -> list:
+    """Score [(seq_id, action, pred, gt), ...] and aggregate, in report order.
+
+    Returns (scope, id, action, count, joints, metrics) rows, where metrics
+    maps each of REPORT_METRICS to its value: one ``sequence`` row per input
+    (count = frames), one ``action`` row per action in sorted order (the
+    mean over its sequences), then ``overall`` (the mean over sequences) and
+    ``overall_by_action`` (the mean over the action rows). Aggregate rows
+    count sequences and carry the first sequence's joint count.
+
+    A row's P-MPJPE can exceed its MPJPE: the alignment minimizes squared
+    error, not mean distance, so rows are not MetricReports.
     """
-    all_pred, all_gt = [], []
-    by_action: dict = {}
-    for action, pred, gt in pairs:
+    rows, by_action = [], {}
+    for seq_id, action, pred, gt in sequences:
         pred, gt = _check_pair(pred, gt)
-        all_pred.append(pred)
-        all_gt.append(gt)
-        by_action.setdefault(action, []).append(mpjpe(pred, gt))
-    if not all_pred:
+        seq = {
+            "mpjpe_mm": mpjpe(pred, gt),
+            "p_mpjpe_mm": p_mpjpe(pred, gt, rigid_only=rigid_only),
+            "pck150_percent": pck(pred, gt),
+            "auc_percent": auc(pred, gt),
+        }
+        rows.append(("sequence", seq_id, action, len(pred), pred.shape[1], seq))
+        by_action.setdefault(action, []).append(seq)
+    if not rows:
         raise ShapeError("no sequence pairs to evaluate")
-    pred = np.concatenate(all_pred)
-    gt = np.concatenate(all_gt)
-    return MetricReport(
-        mpjpe_mm=mpjpe(pred, gt),
-        p_mpjpe_mm=p_mpjpe(pred, gt, rigid_only=rigid_only),
-        pck_percent=pck(pred, gt),
-        auc_percent=auc(pred, gt),
-        per_action={a: float(np.mean(v)) for a, v in sorted(by_action.items())},
-    )
+    n_seq, joints = len(rows), rows[0][4]
+    actions = [
+        ("action", a, a, len(seqs), joints, _mean(seqs)) for a, seqs in sorted(by_action.items())
+    ]
+    return rows + actions + [
+        ("overall", "overall", "", n_seq, joints, _mean([r[5] for r in rows])),
+        ("overall_by_action", "overall_by_action", "", n_seq, joints,
+         _mean([r[5] for r in actions])),
+    ]

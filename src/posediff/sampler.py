@@ -264,6 +264,15 @@ def estimate_single(
     return EstimateResult(poses=poses, hypothesis_index=sel, hypotheses=cam_hyps)
 
 
+def scene_seed(seed: int, scene: str) -> int:
+    """Estimate seed of a scene id (or a single-human sequence id) under run seed ``seed``.
+
+    ``estimate_multi`` takes it as the scene's seed and derives each
+    character's with ``character_seed``; a single-human sequence uses it as is.
+    """
+    return int(rng_for(seed, "estimate", scene).integers(0, 2**63 - 1))
+
+
 def character_seed(seed: int, c: int) -> int:
     """Documented per-character seed derivation for the multi-human path."""
     return int(rng_for(seed, "character", c).integers(0, 2**63 - 1))

@@ -48,12 +48,12 @@ class TrainConfig:
     adam_beta2: float = 0.999
     weight_decay: float = 0.1
     grad_clip: float | None = None
-    hypotheses: int = 1  # single forward pass per sample during training
-    iterations: int = 1
+    max_steps: int | None = None
+    checkpoint_every: int = 1
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.hypotheses, self.iterations) < 1:
-            raise ConfigError("epochs, batch_size, hypotheses, iterations must be >= 1")
+        if min(self.epochs, self.batch_size, self.checkpoint_every) < 1:
+            raise ConfigError("epochs, batch_size, checkpoint_every must be >= 1")
         if self.lr0 <= 0 or not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError(f"bad lr0={self.lr0} or lr_decay={self.lr_decay}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -223,14 +223,6 @@ class Trainer:
         self.epoch += 1
         return float(np.mean(losses)) if losses else float("nan")
 
-    def run(self, samples: list, epochs: int | None = None, max_steps: int | None = None):
-        target = self.cfg.epochs if epochs is None else epochs
-        while self.epoch < target:
-            self.train_epoch(samples, max_steps=max_steps)
-            if max_steps is not None and self.opt.step_count >= max_steps:
-                break
-        return self.logs
-
 
 # -- checkpointing ---------------------------------------------------------------
 
@@ -244,8 +236,6 @@ def save_checkpoint(path, trainer: Trainer, run_config: dict | None = None) -> N
             tensors[f"prompt/{k}/modifier"] = mod.data
         for action, blocks in trainer.bank.cached_actions().items():
             for k, b in enumerate(blocks):
-                if action == "motion":
-                    tensors[f"prompt/{k}/frozen"] = b
                 tensors[f"prompt_frozen/{action}/{k}"] = b
     for name in trainer.opt.params:
         tensors[f"opt/m/{name}"] = trainer.opt.m[name]
@@ -303,17 +293,14 @@ def restore_model(model, bank, tensors: dict) -> None:
 def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> Trainer:
     """Install checkpoint state into a freshly built trainer (bit-exact resume)."""
     restore_model(trainer.model, trainer.bank, tensors)
-    # optimizer params were rebuilt from model/bank tensors; rebind them
-    params = dict(trainer.model.trainable())
-    if trainer.bank is not None and trainer.model.config.use_fpp:
-        params.update(trainer.bank.trainable())
-    trainer.opt = AdamW(params, trainer.cfg)
-    trainer.opt.step_count = int(meta["opt_step"])
-    for name in trainer.opt.params:
-        mk, vk = f"opt/m/{name}", f"opt/v/{name}"
-        if mk in tensors:
-            trainer.opt.m[name] = tensors[mk].astype(trainer.opt.m[name].dtype)
-            trainer.opt.v[name] = tensors[vk].astype(trainer.opt.v[name].dtype)
+    # restore_model swaps the data of the optimizer's own parameter tensors
+    opt = trainer.opt
+    for name in opt.params:
+        for moments, key in ((opt.m, f"opt/m/{name}"), (opt.v, f"opt/v/{name}")):
+            if key not in tensors:
+                raise ConfigError(f"checkpoint is missing optimizer tensor {key!r}")
+            moments[name] = tensors[key].astype(moments[name].dtype)
+    opt.step_count = int(meta["opt_step"])
     trainer.epoch = int(meta["epoch"])
     return trainer
 

@@ -149,6 +149,24 @@ class TestTrainCommand:
         b = (tmp_path / "split" / "ckpt_last.ptc").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_resume_rejects_missing_optimizer_moment(self, tmp_path, capsys, moment):
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(2, 8, 17, seed=2))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {"n_frames": 8}, "model": {"feature_dim": 32}}))
+        args = ["train", "--preset", "tiny", "--config", str(config),
+                "--data", str(data), "--out", str(tmp_path / "run")]
+        assert main(args + ["--steps", "1"]) == 0
+        last = tmp_path / "run" / "ckpt_last.ptc"
+        tensors, meta = read_container(last)
+        dropped = sorted(k for k in tensors if k.startswith(f"opt/{moment}/"))[0]
+        del tensors[dropped]
+        write_container(last, tensors, meta)
+        capsys.readouterr()
+        assert main(args + ["--resume", "--steps", "2"]) == 1
+        assert dropped in capsys.readouterr().err
+
     def test_resume_rejects_config_change(self, tmp_path):
         data = tmp_path / "d.ptc"
         save_dataset(data, synth_generate(2, 8, 17, seed=2))
@@ -198,6 +216,43 @@ class TestEstimateCommand:
         run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=1, seed=5)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_scene_matches_estimate_multi(self, workspace, tmp_path):
+        from posediff.cli import _load_model
+        from posediff.data import denormalize_poses, normalize_record, synth_generate_multi
+        from posediff.sampler import MultiHumanInput, estimate_multi, scene_seed
+
+        records = synth_generate_multi(2, 8, 17, seed=12)
+        data = tmp_path / "scene.ptc"
+        save_dataset(data, records)
+        out = tmp_path / "p.ptc"
+        run_estimate(workspace["ckpt"], data, out, hypotheses=2, iterations=2, seed=9)
+        tensors, _ = read_container(out)
+
+        runtime = _load_model(workspace["ckpt"])
+        norm = [normalize_record(r, runtime.cfg["data"]["normalize"]) for r in records]
+
+        def make_fn(rec):
+            prompt = runtime.prompt_for(rec.action)
+            return lambda yt, x, t: runtime.model.denoise_array(
+                yt.astype(runtime.dtype), x, t, prompt
+            )
+
+        xmul = MultiHumanInput(
+            keypoints=np.stack([n.keypoints_2d for n, _ in norm]).astype(runtime.dtype),
+            presence=np.stack([r.presence for r in records]),
+        )
+        poses, indices, _ = estimate_multi(
+            xmul, [r.camera for r in records], [make_fn(r) for r in records],
+            runtime.sched, H=2, M=2, seed=scene_seed(9, records[0].scene),
+            to_cameras=[lambda y, p=p: denormalize_poses(y, p) for _, p in norm],
+            x_pixels=[r.keypoints_2d for r in records],
+        )
+        for c, rec in enumerate(records):
+            assert np.array_equal(tensors[f"pred/{rec.seq_id}/poses"], poses[c])
+            assert np.array_equal(
+                tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], indices[c]
+            )
+
     def test_checkpoint_dataset_mismatch(self, workspace, tmp_path):
         data = tmp_path / "other.ptc"
         save_dataset(data, synth_generate(1, 12, 17, seed=0))
@@ -233,6 +288,29 @@ class TestEvalCommand:
         assert overall["mpjpe_mm"] == 0.0
         assert overall["pck150_percent"] == 100.0
         assert overall["auc_percent"] == 100.0
+
+    def test_rigid_only_default_comes_from_predictions_config(self, workspace, tmp_path):
+        # a pure scale error: similarity alignment removes it, rigid alignment cannot
+        tensors = {
+            f"pred/{rec.seq_id}/poses": 1.5 * rec.gt_3d for rec in load_dataset(workspace["data"])
+        }
+
+        def overall_p_mpjpe(rigid_only, flags):
+            cfg = tiny_cfg()
+            cfg["sample"]["rigid_only"] = rigid_only
+            pred = tmp_path / f"pred_{rigid_only}.ptc"
+            write_container(pred, tensors, meta={"kind": "predictions", "config": cfg})
+            out = tmp_path / f"eval_{rigid_only}_{len(flags)}"
+            assert main(["eval", "--predictions", str(pred), "--data", str(workspace["data"]),
+                         "--out", str(out)] + flags) == 0
+            with open(out / "report.csv") as f:
+                return next(float(r["p_mpjpe_mm"]) for r in csv.DictReader(f)
+                            if r["scope"] == "overall")
+
+        similarity = overall_p_mpjpe(False, [])
+        rigid = overall_p_mpjpe(True, [])
+        assert similarity < 1e-6 and rigid > 1.0
+        assert overall_p_mpjpe(False, ["--rigid-only"]) == rigid
 
     def test_pairing_error_lists_orphans(self, workspace, tmp_path):
         pred = tmp_path / "orphan.ptc"

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -62,6 +64,17 @@ class TestContainer:
         path.write_bytes(b"PTC1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
         with pytest.raises(ConfigError, match="byte range"):
             read_container(path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_file_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            path = tmp_path / "t.ptc"
+            write_container(path, {"x": np.ones(2)})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ptc"]
 
     def test_rejects_int_tensors(self, tmp_path):
         with pytest.raises(ConfigError):

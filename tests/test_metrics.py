@@ -200,15 +200,38 @@ class TestReport:
     def test_per_action_breakdown(self):
         rng = np.random.default_rng(16)
         gt1 = rng.standard_normal((2, 5, 3)) * 40
-        gt2 = rng.standard_normal((2, 5, 3)) * 40
+        gt2 = rng.standard_normal((3, 5, 3)) * 40
         pairs = [
-            ("walk", gt1 + 10.0, gt1),
-            ("walk", gt1 + 20.0, gt1),
-            ("sit", gt2, gt2),
+            ("a", "walk", gt1 + 10.0, gt1),
+            ("b", "walk", gt1 + 20.0, gt1),
+            ("c", "sit", gt2, gt2),
         ]
-        report = compute_report(pairs)
-        assert set(report.per_action) == {"walk", "sit"}
-        assert report.per_action["sit"] == pytest.approx(0.0, abs=1e-12)
+        rows = compute_report(pairs)
+        assert [r[:5] for r in rows] == [
+            ("sequence", "a", "walk", 2, 5),
+            ("sequence", "b", "walk", 2, 5),
+            ("sequence", "c", "sit", 3, 5),
+            ("action", "sit", "sit", 1, 5),
+            ("action", "walk", "walk", 2, 5),
+            ("overall", "overall", "", 3, 5),
+            ("overall_by_action", "overall_by_action", "", 3, 5),
+        ]
+        seq, act = {r[1]: r[5] for r in rows[:3]}, {r[1]: r[5] for r in rows[3:5]}
+        assert act["sit"]["mpjpe_mm"] == pytest.approx(0.0, abs=1e-12)
         want_walk = (mpjpe(gt1 + 10.0, gt1) + mpjpe(gt1 + 20.0, gt1)) / 2
-        assert report.per_action["walk"] == pytest.approx(want_walk, rel=1e-12)
-        assert report.p_mpjpe_mm <= report.mpjpe_mm + 1e-9
+        assert act["walk"]["mpjpe_mm"] == pytest.approx(want_walk, rel=1e-12)
+        # overall averages sequences; overall_by_action averages actions
+        overall, by_action = rows[5][5], rows[6][5]
+        assert overall["mpjpe_mm"] == pytest.approx(
+            sum(m["mpjpe_mm"] for m in seq.values()) / 3, rel=1e-12
+        )
+        assert by_action["mpjpe_mm"] == pytest.approx(want_walk / 2, rel=1e-12)
+        assert overall["p_mpjpe_mm"] <= overall["mpjpe_mm"] + 1e-9
+
+    def test_row_p_mpjpe_may_exceed_mpjpe(self):
+        # one joint far off: the least-squares alignment spreads its error
+        gt = np.random.default_rng(17).standard_normal((1, 17, 3)) * 100
+        pred = gt.copy()
+        pred[0, 0] += 1000.0
+        seq = compute_report([("s", "walk", pred, gt)])[0][5]
+        assert seq["p_mpjpe_mm"] > seq["mpjpe_mm"]

@@ -191,7 +191,9 @@ class TestTrainEpoch:
 
     def test_max_steps_cap(self):
         trainer = make_trainer(seed=8)
-        trainer.run(make_samples(8), epochs=10, max_steps=5)
+        samples = make_samples(8)
+        for _ in range(10):
+            trainer.train_epoch(samples, max_steps=5)
         assert trainer.opt.step_count == 5
 
     def test_empty_dataset_raises(self):
@@ -210,6 +212,7 @@ class TestTrainEpoch:
 class TestCheckpoint:
     def test_round_trip_bit_exact_resume(self, tmp_path):
         samples = make_samples(4, seed=10)
+        samples[0] = (*samples[0][:2], None)  # unlabelled: the generic "motion" prompt
         # uninterrupted: two epochs
         ref = make_trainer(seed=11)
         ref.train_epoch(samples)
@@ -222,6 +225,9 @@ class TestCheckpoint:
         save_checkpoint(path, half, run_config={"note": "test"})
         fresh = make_trainer(seed=11)
         tensors, meta = read_checkpoint(path)
+        # frozen prompt blocks are stored once each, "motion" included
+        assert "prompt_frozen/motion/0" in tensors
+        assert not [k for k in tensors if k.startswith("prompt/") and k.endswith("/frozen")]
         restore_trainer(fresh, tensors, meta)
         assert fresh.epoch == 1
         fresh.train_epoch(samples)
