@@ -31,8 +31,9 @@ from .data import (
 from .exceptions import ConfigError, PoseDiffError
 from .metrics import REPORT_METRICS, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
-from .sampler import character_seed, default_camera, estimate_single, scene_seed
+from .sampler import character_seed, default_camera, estimate_single, reproject, scene_seed
 from .training import (
+    StepLog,
     Trainer,
     read_checkpoint,
     restore_model,
@@ -86,6 +87,36 @@ def _training_samples(records, runtime):
     return samples
 
 
+LOG_COLUMNS = ("epoch", "step", "loss", "train_mpjpe", "lr", "wall_ms")
+
+
+def _write_log(path, logs):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(LOG_COLUMNS)
+        for row in logs:
+            w.writerow(
+                [row.epoch, row.step, _fmt(row.loss), _fmt(row.train_mpjpe),
+                 f"{row.lr:.3e}", f"{row.wall_ms:.1f}"]
+            )
+
+
+def _read_log(path, steps):
+    """The rows of the first ``steps`` optimizer steps of a run's log.csv."""
+    try:
+        with open(path, newline="") as f:
+            rows = [
+                StepLog(int(r["epoch"]), int(r["step"]), *(float(r[k]) for k in LOG_COLUMNS[2:]))
+                for r in csv.DictReader(f)
+            ]
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"cannot resume the training log {path}: {e}") from e
+    rows = [r for r in rows if r.step <= steps]
+    if [r.step for r in rows] != list(range(1, steps + 1)):
+        raise ConfigError(f"{path} does not hold steps 1..{steps} of the checkpoint")
+    return rows
+
+
 def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None):
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path} (run `posediff synth` first)")
@@ -98,6 +129,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
     trainer = Trainer(runtime.model, runtime.bank, runtime.sched, runtime.train_config, cfg["seed"])
 
     last_path = os.path.join(out_dir, "ckpt_last.ptc")
+    log_path = os.path.join(out_dir, "log.csv")
     if resume:
         if not os.path.exists(last_path):
             raise ConfigError(f"--resume set but {last_path} does not exist")
@@ -108,34 +140,30 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
                 f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
             )
         restore_trainer(trainer, tensors, meta)
+        trainer.logs = _read_log(log_path, trainer.opt.step_count)
+
+    def save(*names):
+        # the log first: a checkpoint never holds steps its log lacks
+        _write_log(log_path, trainer.logs)
+        for name in names:
+            save_checkpoint(os.path.join(out_dir, name), trainer, cfg)
 
     tcfg = trainer.cfg
-    if max_steps is None:
-        max_steps = tcfg.max_steps
+    max_steps = tcfg.max_steps if max_steps is None else max_steps
     target_epochs = tcfg.epochs if epochs is None else epochs
     every = tcfg.checkpoint_every
-    while trainer.epoch < target_epochs:
-        trainer.train_epoch(samples, max_steps=max_steps)
-        done = max_steps is not None and trainer.opt.step_count >= max_steps
-        if trainer.epoch % every == 0 or trainer.epoch == target_epochs or done:
-            save_checkpoint(
-                os.path.join(out_dir, f"ckpt_epoch{trainer.epoch:05d}.ptc"), trainer, cfg
-            )
-            save_checkpoint(last_path, trainer, cfg)
-        if done:
-            break
-    if not os.path.exists(last_path):
-        save_checkpoint(last_path, trainer, cfg)
 
-    log_path = os.path.join(out_dir, "log.csv")
-    with open(log_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "step", "loss", "train_mpjpe", "lr", "wall_ms"])
-        for row in trainer.logs:
-            w.writerow(
-                [row.epoch, row.step, _fmt(row.loss), _fmt(row.train_mpjpe),
-                 f"{row.lr:.3e}", f"{row.wall_ms:.1f}"]
-            )
+    def done():
+        return max_steps is not None and trainer.opt.step_count >= max_steps
+
+    while trainer.epoch < target_epochs and not done():
+        trainer.train_epoch(samples, max_steps=max_steps)
+        if trainer.epoch_step:  # stopped inside the epoch
+            save("ckpt_last.ptc")
+        elif trainer.epoch % every == 0 or trainer.epoch == target_epochs or done():
+            save(f"ckpt_epoch{trainer.epoch:05d}.ptc", "ckpt_last.ptc")
+    if not os.path.exists(last_path):
+        save("ckpt_last.ptc")
     return last_path, trainer
 
 
@@ -152,7 +180,7 @@ def _load_model(checkpoint_path):
     return runtime
 
 
-def _estimate_record(rec, runtime, H, M, seed, per_frame):
+def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
     cfg = runtime.cfg
     if (rec.n_frames, rec.n_joints) != (
         runtime.model_config.n_frames,
@@ -162,6 +190,10 @@ def _estimate_record(rec, runtime, H, M, seed, per_frame):
             f"record {rec.seq_id!r} is {rec.n_frames}x{rec.n_joints}; checkpoint "
             f"expects {runtime.model_config.n_frames}x{runtime.model_config.n_joints}"
         )
+    if rec.scene is not None and rec.character is not None:
+        seed = character_seed(scene_seed(base_seed, rec.scene), rec.character)
+    else:
+        seed = scene_seed(base_seed, rec.seq_id)
     cam = rec.camera or default_camera()
     norm, params = normalize_record(rec, cfg["data"]["normalize"])
     prompt = runtime.prompt_for(rec.action)
@@ -183,7 +215,7 @@ def _estimate_record(rec, runtime, H, M, seed, per_frame):
         to_camera=lambda y: denormalize_poses(y, params),
         x_pixels=rec.keypoints_2d,
         frame_mask=rec.presence,
-    ), rec.camera is None
+    )
 
 
 def run_estimate(
@@ -208,12 +240,7 @@ def run_estimate(
         raise ConfigError(f"dataset {data_path} holds no sequences")
 
     def work(rec):
-        # a scene's characters get the streams estimate_multi gives them
-        if rec.scene is not None and rec.character is not None:
-            seed = character_seed(scene_seed(base_seed, rec.scene), rec.character)
-        else:
-            seed = scene_seed(base_seed, rec.seq_id)
-        return _estimate_record(rec, runtime, H, M, seed, jpma_per_frame)
+        return _estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame)
 
     workers = _worker_count()
     if workers > 1:
@@ -223,14 +250,14 @@ def run_estimate(
         results = [work(rec) for rec in records]
 
     tensors, cam_notes = {}, {}
-    for rec, (res, used_default) in zip(records, results):
+    for rec, res in zip(records, results):
         base = f"pred/{rec.seq_id}"
         tensors[f"{base}/poses"] = res.poses
         tensors[f"{base}/per_joint_hypothesis_index"] = res.hypothesis_index.astype(np.float64)
         if rec.presence is not None:
             tensors[f"{base}/presence"] = rec.presence.astype(np.float64)
         cam = rec.camera or default_camera()
-        cam_notes[rec.seq_id] = {"camera": cam.to_dict(), "default_camera": used_default}
+        cam_notes[rec.seq_id] = {"camera": cam.to_dict(), "default_camera": rec.camera is None}
     meta = {
         "kind": "predictions",
         "config": cfg,
@@ -319,11 +346,7 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
         raise ConfigError(f"{pred_path} has no prediction for {seq_id!r}")
     rec = records[seq_id]
     pred = pred_tensors[key]
-    cam = rec.camera or default_camera()
-
-    from .sampler import reproject
-
-    pred_2d = reproject(pred, cam)
+    pred_2d = reproject(pred, rec.camera or default_camera())
     svg = skeleton_svg(pred_2d, rec.keypoints_2d, title=f"{seq_id} ({rec.action})")
     stem = seq_id.replace("/", "_")
     svg_path = os.path.join(out_dir, f"{stem}.svg")
@@ -331,13 +354,12 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
         f.write(svg)
 
     csv_path = os.path.join(out_dir, f"{stem}_errors.csv")
-    mask = rec.presence if rec.presence is not None else None
     if rec.gt_3d is None:
         raise ConfigError(f"record {seq_id!r} has no ground truth for error plotting")
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["sequence_id", "joint", "mpjpe_mm"])
-        for j, err in enumerate(per_joint_error_rows(pred, rec.gt_3d, mask)):
+        for j, err in enumerate(per_joint_error_rows(pred, rec.gt_3d, rec.presence)):
             w.writerow([seq_id, j, _fmt(err)])
     return svg_path, csv_path
 

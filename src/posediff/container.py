@@ -14,6 +14,7 @@ files and concurrent readers never observe partial writes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 
@@ -103,15 +104,22 @@ def read_container(path) -> tuple[dict, dict]:
             raise ConfigError(f"{path}: corrupt manifest: {e}") from e
         blob = f.read()
 
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", {}), dict):
+        raise ConfigError(f"{path}: manifest and its tensors must be JSON objects")
     if manifest.get("version") != FORMAT_VERSION:
         raise ConfigError(f"{path}: unknown container version {manifest.get('version')!r}")
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: manifest meta must be a JSON object")
 
     tensors = {}
     for name, info in manifest.get("tensors", {}).items():
-        code = info.get("dtype")
-        if code not in _DTYPES:
-            raise ConfigError(f"{path}: tensor {name!r} has unknown dtype {code!r}")
-        dtype = _DTYPES[code]
+        if not _valid_entry(info):
+            raise ConfigError(
+                f"{path}: tensor {name!r} needs dtype (one of {sorted(_DTYPES)}), shape "
+                f"(non-negative ints), offset and nbytes (ints); got {info!r}"
+            )
+        dtype = _DTYPES[info["dtype"]]
         shape = tuple(info["shape"])
         offset, nbytes = info["offset"], info["nbytes"]
         if offset < 0 or offset + nbytes > len(blob):
@@ -119,7 +127,7 @@ def read_container(path) -> tuple[dict, dict]:
                 f"{path}: tensor {name!r} byte range [{offset}, {offset + nbytes}) "
                 f"outside blob of {len(blob)} bytes"
             )
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if expected != nbytes:
             raise ConfigError(
                 f"{path}: tensor {name!r} shape {shape} needs {expected} bytes, "
@@ -127,4 +135,20 @@ def read_container(path) -> tuple[dict, dict]:
             )
         arr = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=offset)
         tensors[name] = arr.reshape(shape).copy()
-    return tensors, manifest.get("meta", {})
+    return tensors, meta
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _valid_entry(info) -> bool:
+    return (
+        isinstance(info, dict)
+        and isinstance(info.get("dtype"), str)
+        and info["dtype"] in _DTYPES
+        and isinstance(info.get("shape"), list)
+        and all(_is_int(d) and d >= 0 for d in info["shape"])
+        and _is_int(info.get("offset"))
+        and _is_int(info.get("nbytes"))
+    )

@@ -23,7 +23,7 @@ import numpy as np
 from .container import read_container, write_container
 from .exceptions import ConfigError, ShapeError
 from .rng import rng_for
-from .sampler import CameraIntrinsics, reproject
+from .sampler import CameraIntrinsics, default_camera, reproject
 
 __all__ = [
     "SequenceRecord",
@@ -310,7 +310,7 @@ def synth_generate(
     motion_kind: str = "mixed",
 ) -> list:
     """Seeded synthetic dataset; ``mixed`` cycles through the motion kinds."""
-    cam = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
+    cam = default_camera()
     records = []
     for i in range(n_sequences):
         kind = MOTION_KINDS[i % 3] if motion_kind == "mixed" else motion_kind
@@ -332,7 +332,7 @@ def synth_generate_multi(
     Characters beyond the first leave the view for a stretch of frames; those
     frames hold exact zeros in their 2D keypoints.
     """
-    cam = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0)
+    cam = default_camera()
     records = []
     for c in range(n_characters):
         kind = MOTION_KINDS[c % 3] if motion_kind == "mixed" else motion_kind
@@ -360,9 +360,7 @@ def synth_generate_multi(
 class NormalizationParams:
     mode: str
     scale_mm: float
-    camera: CameraIntrinsics
     roots_mm: np.ndarray  # (N, 3) root trajectory used to re-anchor poses
-    presence: np.ndarray | None = None
 
 
 def root_trajectory(record: SequenceRecord) -> np.ndarray:
@@ -407,13 +405,9 @@ def normalize_record(
         raise ConfigError(f"unknown normalization mode {mode!r}")
     if mode == "root_centered" and record.gt_3d is None:
         raise ConfigError(f"{record.seq_id}: root_centered normalization needs gt_3d")
-    cam = record.camera or CameraIntrinsics(1000.0, 1000.0, 500.0, 500.0)
+    cam = record.camera or default_camera()
     params = NormalizationParams(
-        mode=mode,
-        scale_mm=MM_PER_UNIT,
-        camera=cam,
-        roots_mm=root_trajectory(record),
-        presence=record.presence,
+        mode=mode, scale_mm=MM_PER_UNIT, roots_mm=root_trajectory(record)
     )
     kp = normalize_keypoints(record.keypoints_2d, cam, record.presence)
     gt = None

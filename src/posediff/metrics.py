@@ -8,8 +8,6 @@ transform (rotation + translation + scale, the community P-MPJPE protocol);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import NumericsError, ShapeError
@@ -20,7 +18,7 @@ __all__ = [
     "p_mpjpe",
     "pck",
     "auc",
-    "MetricReport",
+    "joint_errors",
     "compute_report",
 ]
 
@@ -102,23 +100,6 @@ def auc(pred, gt) -> float:
     return sum(values) / len(values)
 
 
-@dataclass
-class MetricReport:
-    mpjpe_mm: float
-    p_mpjpe_mm: float
-    pck_percent: float
-    auc_percent: float
-
-    def __post_init__(self):
-        if self.p_mpjpe_mm > self.mpjpe_mm + 1e-9:
-            raise NumericsError(
-                f"p_mpjpe {self.p_mpjpe_mm} exceeds mpjpe {self.mpjpe_mm}"
-            )
-        for v in (self.pck_percent, self.auc_percent):
-            if not (0.0 <= v <= 100.0):
-                raise NumericsError(f"percentage {v} outside [0, 100]")
-
-
 REPORT_METRICS = ("mpjpe_mm", "p_mpjpe_mm", "pck150_percent", "auc_percent")
 
 
@@ -137,7 +118,7 @@ def compute_report(sequences, rigid_only: bool = False) -> list:
     count sequences and carry the first sequence's joint count.
 
     A row's P-MPJPE can exceed its MPJPE: the alignment minimizes squared
-    error, not mean distance, so rows are not MetricReports.
+    error, not mean distance.
     """
     rows, by_action = [], {}
     for seq_id, action, pred, gt in sequences:

@@ -9,6 +9,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .data import PARENTS_17
+from .metrics import joint_errors
 
 __all__ = ["skeleton_svg", "per_joint_error_rows"]
 
@@ -81,7 +82,7 @@ def skeleton_svg(pred_2d: np.ndarray, gt_2d: np.ndarray, title: str = "") -> str
 
 def per_joint_error_rows(pred_mm: np.ndarray, gt_mm: np.ndarray, mask=None) -> list:
     """Mean per-joint 3D error in mm over (optionally masked) frames."""
-    err = np.linalg.norm(np.asarray(pred_mm) - np.asarray(gt_mm), axis=-1)
+    err = joint_errors(pred_mm, gt_mm)
     if mask is not None:
         err = err[np.asarray(mask, dtype=bool)]
     return [float(v) for v in err.mean(axis=0)]

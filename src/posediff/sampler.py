@@ -3,9 +3,10 @@
 Inference draws H independent Gaussian pose hypotheses, refines each with M
 denoising iterations, reprojects the results to the image plane, and for
 every joint keeps the trajectory of the hypothesis whose reprojection lies
-closest to the observed 2D keypoints. Hypotheses never exchange information,
-so they (and characters in the multi-human path) can run concurrently; all
-merging is by index and deterministic.
+closest to the observed 2D keypoints. Hypotheses never exchange information
+and run one after another; all merging is by index and deterministic. The
+characters of a multi-human scene are estimated as separate sequences, each
+with its own seed (``character_seed``) and presence mask (``frame_mask``).
 
 The denoiser enters as a plain callable ``denoise_fn(yt, x, t) -> y0_hat``
 with weights and prompt already bound, which keeps the loop testable against
@@ -25,14 +26,12 @@ from .rng import gaussian, rng_for
 __all__ = [
     "CameraIntrinsics",
     "HypothesisSet",
-    "MultiHumanInput",
     "EstimateResult",
     "sample_initial_hypotheses",
     "ddim_loop",
     "reproject",
     "jpma_aggregate",
     "estimate_single",
-    "estimate_multi",
 ]
 
 DEPTH_EPSILON = 1e-6
@@ -77,31 +76,6 @@ class HypothesisSet:
     @property
     def count(self):
         return self.hypotheses.shape[0]
-
-
-@dataclass(frozen=True)
-class MultiHumanInput:
-    """Per-character 2D tracks with presence flags; absent frames are zeros."""
-
-    keypoints: np.ndarray  # (C, N, J, 2)
-    presence: np.ndarray  # (C, N) booleans
-
-    def __post_init__(self):
-        kp = np.asarray(self.keypoints)
-        pres = np.asarray(self.presence, dtype=bool)
-        if kp.ndim != 4 or kp.shape[-1] != 2:
-            raise ShapeError(f"multi-human keypoints must be (C, N, J, 2), got {kp.shape}")
-        if pres.shape != kp.shape[:2]:
-            raise ShapeError(
-                f"presence shape {pres.shape} does not match characters/frames {kp.shape[:2]}"
-            )
-        absent = ~pres
-        if absent.any() and np.abs(kp[absent]).max() > 0:
-            raise ShapeError("absent frames must hold exact zeros in keypoints")
-
-    @property
-    def characters(self):
-        return self.keypoints.shape[0]
 
 
 @dataclass(frozen=True)
@@ -267,55 +241,12 @@ def estimate_single(
 def scene_seed(seed: int, scene: str) -> int:
     """Estimate seed of a scene id (or a single-human sequence id) under run seed ``seed``.
 
-    ``estimate_multi`` takes it as the scene's seed and derives each
-    character's with ``character_seed``; a single-human sequence uses it as is.
+    A single-human sequence uses it as is; character ``c`` of a scene uses
+    ``character_seed(scene_seed(seed, scene), c)``.
     """
     return int(rng_for(seed, "estimate", scene).integers(0, 2**63 - 1))
 
 
 def character_seed(seed: int, c: int) -> int:
-    """Documented per-character seed derivation for the multi-human path."""
+    """Seed of character ``c`` of a scene whose seed is ``seed``."""
     return int(rng_for(seed, "character", c).integers(0, 2**63 - 1))
-
-
-def estimate_multi(
-    xmul: MultiHumanInput,
-    cams,
-    denoise_fns,
-    sched: NoiseSchedule,
-    H: int,
-    M: int,
-    seed: int,
-    **kwargs,
-) -> tuple[np.ndarray, list, np.ndarray]:
-    """Run estimate_single independently per character and stack the results.
-
-    ``cams``/``denoise_fns``/optional kwarg ``to_cameras`` are per-character
-    sequences. Returns (poses (C,N,J,3), per-character hypothesis indices,
-    presence flags carried through unchanged).
-    """
-    C = xmul.characters
-    if len(cams) != C or len(denoise_fns) != C:
-        raise ShapeError(f"need {C} cameras and denoisers, got {len(cams)}/{len(denoise_fns)}")
-    to_cameras = kwargs.pop("to_cameras", [None] * C)
-    x_pixels = kwargs.pop("x_pixels", [None] * C)
-    results = []
-    for c in range(C):
-        results.append(
-            estimate_single(
-                xmul.keypoints[c],
-                cams[c],
-                denoise_fns[c],
-                sched,
-                H,
-                M,
-                character_seed(seed, c),
-                to_camera=to_cameras[c],
-                x_pixels=x_pixels[c],
-                frame_mask=xmul.presence[c],
-                **kwargs,
-            )
-        )
-    poses = np.stack([r.poses for r in results])
-    indices = [r.hypothesis_index for r in results]
-    return poses, indices, np.array(xmul.presence, dtype=bool)

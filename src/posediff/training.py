@@ -20,6 +20,7 @@ from .autodiff import Tensor
 from .container import read_container, write_container
 from .diffusion import NoiseSample, NoiseSchedule, forward_diffuse
 from .exceptions import ConfigError, NumericsError, ShapeError
+from .prompts import FROZEN_ROWS
 from .rng import rng_for
 
 __all__ = [
@@ -166,6 +167,7 @@ class Trainer:
             params.update(bank.trainable())
         self.opt = AdamW(params, cfg)
         self.epoch = 0
+        self.epoch_step = 0  # batches of ``epoch`` already taken
         self.logs: list = []
 
     def _prompt(self, action):
@@ -174,7 +176,10 @@ class Trainer:
         return self.bank.assemble(action)
 
     def train_epoch(self, samples: list, max_steps: int | None = None) -> float:
-        """One epoch over the shuffled dataset; returns the mean step loss."""
+        """The rest of the current epoch over the shuffled dataset; returns the
+        mean step loss. At ``max_steps`` it stops inside the epoch, and the
+        next call resumes the epoch at ``epoch_step``.
+        """
         if not samples:
             raise ConfigError("training dataset is empty")
         epoch = self.epoch
@@ -182,7 +187,7 @@ class Trainer:
         order = rng_for(self.seed, "epoch", epoch, "shuffle").permutation(len(samples))
         dtype = self.model.dtype
         losses = []
-        for step in range(0, len(order), self.cfg.batch_size):
+        for step in range(0, len(order), self.cfg.batch_size)[self.epoch_step:]:
             if max_steps is not None and self.opt.step_count >= max_steps:
                 break
             t0 = time.perf_counter()
@@ -220,7 +225,9 @@ class Trainer:
             self.logs.append(
                 StepLog(epoch, self.opt.step_count, value, err_sum / err_n, lr, wall)
             )
-        self.epoch += 1
+            self.epoch_step += 1
+        else:
+            self.epoch, self.epoch_step = epoch + 1, 0
         return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -243,6 +250,7 @@ def save_checkpoint(path, trainer: Trainer, run_config: dict | None = None) -> N
     meta = {
         "kind": "checkpoint",
         "epoch": trainer.epoch,
+        "epoch_step": trainer.epoch_step,
         "opt_step": trainer.opt.step_count,
         "seed": trainer.seed,
         "train_config": asdict(trainer.cfg),
@@ -262,47 +270,48 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     return tensors, meta
 
 
+def _checkpoint_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
+    if key not in tensors:
+        raise ConfigError(f"checkpoint is missing tensor {key!r}")
+    if tensors[key].shape != shape:
+        raise ConfigError(
+            f"checkpoint tensor {key!r} has shape {tensors[key].shape}, model expects {shape}"
+        )
+    return tensors[key]
+
+
 def restore_model(model, bank, tensors: dict) -> None:
     """Install checkpoint weights and prompt state (shared by train and infer)."""
     for name, p in model.weights.items():
-        key = f"weights/{name}"
-        if key not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor {key!r}")
-        if tensors[key].shape != p.data.shape:
-            raise ConfigError(
-                f"checkpoint tensor {key!r} has shape {tensors[key].shape}, "
-                f"model expects {p.data.shape}"
-            )
-        p.data = tensors[key].astype(p.data.dtype)
+        p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape).astype(p.data.dtype)
     if bank is not None:
         for k, mod in enumerate(bank.modifiers):
             key = f"prompt/{k}/modifier"
-            if key in tensors:
-                mod.data = tensors[key].astype(mod.data.dtype)
+            mod.data = _checkpoint_tensor(tensors, key, mod.data.shape).astype(mod.data.dtype)
         actions = {
             key.split("/")[1] for key in tensors if key.startswith("prompt_frozen/")
         }
+        shape = (FROZEN_ROWS, bank.embed_dim)
         for action in sorted(actions):
             blocks = [
-                tensors[f"prompt_frozen/{action}/{k}"]
+                _checkpoint_tensor(tensors, f"prompt_frozen/{action}/{k}", shape)
                 for k in range(len(bank.modifiers))
             ]
             bank.set_frozen_blocks(action, blocks)
 
 
-def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> Trainer:
+def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
     """Install checkpoint state into a freshly built trainer (bit-exact resume)."""
     restore_model(trainer.model, trainer.bank, tensors)
     # restore_model swaps the data of the optimizer's own parameter tensors
     opt = trainer.opt
     for name in opt.params:
         for moments, key in ((opt.m, f"opt/m/{name}"), (opt.v, f"opt/v/{name}")):
-            if key not in tensors:
-                raise ConfigError(f"checkpoint is missing optimizer tensor {key!r}")
-            moments[name] = tensors[key].astype(moments[name].dtype)
+            stored = _checkpoint_tensor(tensors, key, moments[name].shape)
+            moments[name] = stored.astype(moments[name].dtype)
     opt.step_count = int(meta["opt_step"])
     trainer.epoch = int(meta["epoch"])
-    return trainer
+    trainer.epoch_step = int(meta.get("epoch_step", 0))
 
 
 # -- gradient verification ---------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from posediff.cli import run_estimate, run_eval, run_train
 from posediff.config import build_runtime, load_config
+from posediff.container import read_container
 from posediff.data import (
     denormalize_poses,
     normalize_record,
@@ -29,16 +30,23 @@ from posediff.metrics import mpjpe, p_mpjpe, pck, procrustes_align
 from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
 from posediff.sampler import (
     HypothesisSet,
-    MultiHumanInput,
     character_seed,
     ddim_loop,
-    estimate_multi,
     estimate_single,
     jpma_aggregate,
     reproject,
     sample_initial_hypotheses,
+    scene_seed,
 )
-from posediff.training import Trainer, TrainConfig, gradient_check, mse_loss
+from posediff.training import (
+    Trainer,
+    TrainConfig,
+    gradient_check,
+    mse_loss,
+    read_checkpoint,
+    restore_model,
+    save_checkpoint,
+)
 
 from test_metrics import random_rotation
 from test_sampler import CAM, brute_force_jpma, random_positive_depth_hyps
@@ -224,45 +232,37 @@ def test_08_metric_suite():
     report(8, "1000 pairs p<=m, similarity invariance 1e-9, PCK monotone, AUC exact")
 
 
-def test_09_multi_human_equivalence():
+def test_09_multi_human_equivalence(tmp_path):
+    # a C=3 scene through the CLI path equals stacked per-character estimate_single
     cfg = load_config(None, "tiny")
     cfg["data"]["n_frames"] = 8
     cfg["model"]["feature_dim"] = 32
     runtime = build_runtime(cfg)
+    ckpt = tmp_path / "ckpt.ptc"
+    trainer = Trainer(runtime.model, runtime.bank, runtime.sched, runtime.train_config, cfg["seed"])
+    save_checkpoint(ckpt, trainer, cfg)
     records = synth_generate_multi(3, 8, 17, seed=17)
-    sched = runtime.sched
+    data = tmp_path / "scene.ptc"
+    save_dataset(data, records)
+    pred, _ = read_container(run_estimate(ckpt, data, tmp_path / "p.ptc", 3, 2, seed=18))
 
-    norm = [normalize_record(r, "root_centered") for r in records]
-    kp = np.stack([n.keypoints_2d for n, _ in norm])
-    presence = np.stack([r.presence for r in records])
-    xmul = MultiHumanInput(keypoints=kp, presence=presence)
-
-    def make_fn(rec):
-        prompt = runtime.prompt_for(rec.action)
-        return lambda yt, x, t: runtime.model.denoise_array(
-            yt.astype(runtime.dtype), x.astype(runtime.dtype), t, prompt
-        )
-
-    fns = [make_fn(r) for r in records]
-    cams = [r.camera for r in records]
-    to_cams = [lambda y, p=params: denormalize_poses(y, p) for _, params in norm]
-    x_pix = [r.keypoints_2d for r in records]
-
-    poses, indices, pres_out = estimate_multi(
-        xmul, cams, fns, sched, H=3, M=2, seed=18,
-        to_cameras=to_cams, x_pixels=x_pix,
-    )
-    assert poses.shape == (3, 8, 17, 3)
+    restore_model(runtime.model, runtime.bank, read_checkpoint(ckpt)[0])
     for c, rec in enumerate(records):
+        norm, params = normalize_record(rec, cfg["data"]["normalize"])
+        prompt = runtime.prompt_for(rec.action)
         solo = estimate_single(
-            xmul.keypoints[c], cams[c], make_fn(rec), sched, H=3, M=2,
-            seed=character_seed(18, c),
-            to_camera=to_cams[c], x_pixels=x_pix[c], frame_mask=presence[c],
+            norm.keypoints_2d.astype(runtime.dtype), rec.camera,
+            lambda yt, x, t: runtime.model.denoise_array(yt.astype(runtime.dtype), x, t, prompt),
+            runtime.sched, H=3, M=2, seed=character_seed(scene_seed(18, rec.scene), c),
+            to_camera=lambda y: denormalize_poses(y, params), x_pixels=rec.keypoints_2d,
+            frame_mask=rec.presence,
         )
-        assert np.array_equal(poses[c], solo.poses)
-        assert np.array_equal(indices[c], solo.hypothesis_index)
-    np.testing.assert_array_equal(pres_out, presence)
-    report(9, "C=3 estimate_multi bit-identical to stacked estimate_single")
+        base = f"pred/{rec.seq_id}"
+        assert np.array_equal(pred[f"{base}/poses"], solo.poses)
+        assert np.array_equal(pred[f"{base}/per_joint_hypothesis_index"], solo.hypothesis_index)
+        assert np.array_equal(pred[f"{base}/presence"] > 0.5, rec.presence)
+    assert not records[1].presence.all()
+    report(9, "C=3 scene via run_estimate bit-identical to stacked estimate_single")
 
 
 def test_10_end_to_end_determinism(tmp_path):

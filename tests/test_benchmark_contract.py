@@ -1,0 +1,62 @@
+"""The benchmark in ``perfbench/`` wraps posediff callables by name from outside.
+
+This runs a tiny train step and an H=2/M=1 estimate under its span tracer
+(``tracing.Tracer``) and op counter (``workload.Ops``), so renaming or
+deleting a name the benchmark patches or reads fails here, not in a
+benchmark run.
+"""
+
+import importlib
+import os
+
+from posediff import cli, denoiser, sampler, training
+from posediff.data import save_dataset, synth_generate
+
+from test_cli import tiny_cfg
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_benchmark_hooks_attach_and_detach(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    workload = importlib.import_module("workload")
+    originals = (cli.run_train, cli.estimate_single, training.Trainer.train_epoch,
+                 denoiser.Denoiser.mhsa_block, denoiser.Denoiser.denoise)
+
+    clock = workload.Clock(8 * 17, 32, nominal_ms=12.0)
+    clock.point()
+    ops, tracer = workload.Ops(clock), tracing.Tracer(clock.now)
+    ops.install()
+    tracer.install()
+    try:
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(4, 8, 17, seed=0))
+        ckpt, _ = cli.run_train(tiny_cfg(), data, tmp_path / "run", max_steps=1)
+        pred = cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=2, iterations=1)
+        cli.run_eval(pred, data, tmp_path / "eval")
+    finally:
+        tracer.uninstall()
+        ops.uninstall()
+
+    calls = {name: total[0] for name, total in tracer.totals("setup").items()}
+    for name in ("autodiff.backward", "denoiser.denoise", "denoiser.embed_input",
+                 "denoiser.timestamp_embed", "denoiser.spatial_block",
+                 "denoiser.temporal_block", "denoiser.cross_attention", "denoiser.pts",
+                 "denoiser.head", "denoiser.linear", "training.adamw_step",
+                 "training.train_epoch", "training.checkpoint_write", "prompts.assemble",
+                 "diffusion.forward_diffuse", "sampler.ddim_loop", "sampler.jpma",
+                 "sampler.reproject", "metrics.p_mpjpe", "metrics.mpjpe", "container.write",
+                 "container.read", "data.load", "config.build_runtime", "cli.run_train",
+                 "cli.run_estimate", "cli.run_eval"):
+        assert calls.get(name, 0) >= 1, name
+    # one optimizer step, then one op per record through cli.estimate_single
+    assert (ops.attempted, ops.failed) == (1 + 4, 0)
+    assert [steps for _, _, steps in ops.spans] == [1, 1, 1, 1, 1]
+    assert ops.backward_calls == 1
+    ratios = tracer.samples[("setup", "hypotheses_used_ratio")]
+    assert len(ratios) == 4 and all(0.0 < r <= 1.0 for r in ratios)
+
+    assert (cli.run_train, cli.estimate_single, training.Trainer.train_epoch,
+            denoiser.Denoiser.mhsa_block, denoiser.Denoiser.denoise) == originals
+    assert cli.estimate_single is sampler.estimate_single

@@ -34,6 +34,12 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "ckpt": ckpt, "pred": pred, "trainer": trainer}
 
 
+def log_rows(run_dir):
+    """log.csv rows without the wall-clock column."""
+    with open(os.path.join(run_dir, "log.csv")) as f:
+        return [row[:-1] for row in csv.reader(f)]
+
+
 class TestConfig:
     def test_defaults_match_published_settings(self):
         cfg = default_config()
@@ -148,6 +154,40 @@ class TestTrainCommand:
         a = (tmp_path / "full" / "ckpt_last.ptc").read_bytes()
         b = (tmp_path / "split" / "ckpt_last.ptc").read_bytes()
         assert a == b
+        assert log_rows(tmp_path / "split") == log_rows(tmp_path / "full")
+        assert len(log_rows(tmp_path / "full")) == 1 + 4
+
+    def test_resume_inside_an_epoch_matches_uninterrupted_run(self, tmp_path):
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(8, 8, 17, seed=2))  # 2 steps per epoch
+        cfg = tiny_cfg()
+        run_train(cfg, data, tmp_path / "full", max_steps=4)
+        run_train(cfg, data, tmp_path / "split", max_steps=3)
+        _, trainer = run_train(cfg, data, tmp_path / "split", resume=True, max_steps=4)
+        assert (trainer.epoch, trainer.epoch_step, trainer.opt.step_count) == (2, 0, 4)
+
+        full, split = tmp_path / "full", tmp_path / "split"
+        assert sorted(os.listdir(full)) == sorted(os.listdir(split))
+        for name in os.listdir(full):
+            if name != "log.csv":
+                assert (full / name).read_bytes() == (split / name).read_bytes(), name
+        assert log_rows(split) == log_rows(full)
+
+    def test_resume_at_step_target_changes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(8, 8, 17, seed=2))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {"n_frames": 8}, "model": {"feature_dim": 32}}))
+        run = tmp_path / "run"
+        args = ["train", "--preset", "tiny", "--config", str(config),
+                "--data", str(data), "--out", str(run), "--steps", "4"]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 0
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        out = capsys.readouterr().out
+        assert "trained 4 steps" in out and "nan" not in out
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_resume_rejects_missing_optimizer_moment(self, tmp_path, capsys, moment):
@@ -216,12 +256,13 @@ class TestEstimateCommand:
         run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=1, seed=5)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_scene_matches_estimate_multi(self, workspace, tmp_path):
+    @pytest.mark.parametrize("characters", [1, 2])
+    def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):
         from posediff.cli import _load_model
         from posediff.data import denormalize_poses, normalize_record, synth_generate_multi
-        from posediff.sampler import MultiHumanInput, estimate_multi, scene_seed
+        from posediff.sampler import character_seed, estimate_single, scene_seed
 
-        records = synth_generate_multi(2, 8, 17, seed=12)
+        records = synth_generate_multi(characters, 8, 17, seed=12)
         data = tmp_path / "scene.ptc"
         save_dataset(data, records)
         out = tmp_path / "p.ptc"
@@ -229,29 +270,41 @@ class TestEstimateCommand:
         tensors, _ = read_container(out)
 
         runtime = _load_model(workspace["ckpt"])
-        norm = [normalize_record(r, runtime.cfg["data"]["normalize"]) for r in records]
-
-        def make_fn(rec):
-            prompt = runtime.prompt_for(rec.action)
-            return lambda yt, x, t: runtime.model.denoise_array(
-                yt.astype(runtime.dtype), x, t, prompt
-            )
-
-        xmul = MultiHumanInput(
-            keypoints=np.stack([n.keypoints_2d for n, _ in norm]).astype(runtime.dtype),
-            presence=np.stack([r.presence for r in records]),
-        )
-        poses, indices, _ = estimate_multi(
-            xmul, [r.camera for r in records], [make_fn(r) for r in records],
-            runtime.sched, H=2, M=2, seed=scene_seed(9, records[0].scene),
-            to_cameras=[lambda y, p=p: denormalize_poses(y, p) for _, p in norm],
-            x_pixels=[r.keypoints_2d for r in records],
-        )
         for c, rec in enumerate(records):
-            assert np.array_equal(tensors[f"pred/{rec.seq_id}/poses"], poses[c])
-            assert np.array_equal(
-                tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], indices[c]
+            norm, params = normalize_record(rec, runtime.cfg["data"]["normalize"])
+            prompt = runtime.prompt_for(rec.action)
+            solo = estimate_single(
+                norm.keypoints_2d.astype(runtime.dtype), rec.camera,
+                lambda yt, x, t: runtime.model.denoise_array(
+                    yt.astype(runtime.dtype), x, t, prompt
+                ),
+                runtime.sched, H=2, M=2, seed=character_seed(scene_seed(9, rec.scene), c),
+                to_camera=lambda y: denormalize_poses(y, params),
+                x_pixels=rec.keypoints_2d, frame_mask=rec.presence,
             )
+            assert np.array_equal(tensors[f"pred/{rec.seq_id}/poses"], solo.poses)
+            assert np.array_equal(
+                tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], solo.hypothesis_index
+            )
+
+    @pytest.mark.parametrize("damage", ["missing_modifier", "modifier_shape", "missing_frozen"])
+    def test_incomplete_prompt_state_is_config_error(self, workspace, tmp_path, capsys, damage):
+        tensors, meta = read_container(workspace["ckpt"])
+        key = "prompt/3/modifier"
+        if damage == "missing_modifier":
+            del tensors[key]
+        elif damage == "modifier_shape":
+            tensors[key] = tensors[key][:-1]
+        else:
+            key = sorted(k for k in tensors if k.startswith("prompt_frozen/"))[-1]
+            del tensors[key]
+        ckpt = tmp_path / "ckpt.ptc"
+        write_container(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "p.ptc"), "--hypotheses", "1",
+                     "--iterations", "1"]) == 1
+        assert key in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch(self, workspace, tmp_path):
         data = tmp_path / "other.ptc"

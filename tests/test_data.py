@@ -4,6 +4,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from posediff.container import read_container, write_container
 from posediff.data import (
@@ -21,6 +23,47 @@ from posediff.data import (
 from posediff.exceptions import ConfigError, ShapeError
 from posediff.metrics import mpjpe
 from posediff.sampler import CameraIntrinsics, reproject
+
+
+DELETE = object()
+
+
+def rewrite_manifest(path, keys, value):
+    """Set (or, with DELETE, remove) the manifest item at ``keys``; () is the root."""
+    raw = path.read_bytes()
+    man_len = int.from_bytes(raw[4:8], "little")
+    manifest = json.loads(raw[8 : 8 + man_len])
+    if keys:
+        node = manifest
+        for k in keys[:-1]:
+            node = node[k]
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    else:
+        manifest = value
+    payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(b"PTC1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+
+
+MALFORMED_MANIFESTS = {
+    "root_not_object": ((), [1]),
+    "tensors_not_object": (("tensors",), []),
+    "meta_not_object": (("meta",), [1]),
+    "entry_not_object": (("tensors", "x"), 5),
+    "no_dtype": (("tensors", "x", "dtype"), DELETE),
+    "no_shape": (("tensors", "x", "shape"), DELETE),
+    "no_offset": (("tensors", "x", "offset"), DELETE),
+    "no_nbytes": (("tensors", "x", "nbytes"), DELETE),
+    "dtype_not_string": (("tensors", "x", "dtype"), ["f8"]),
+    "shape_not_list": (("tensors", "x", "shape"), "4"),
+    "shape_float_dim": (("tensors", "x", "shape"), [4.0]),
+    "shape_bool_dim": (("tensors", "x", "shape"), [True, 4]),
+    "negative_dims": (("tensors", "x", "shape"), [-1, -4]),
+    "offset_string": (("tensors", "x", "offset"), "0"),
+    "nbytes_float": (("tensors", "x", "nbytes"), 32.0),
+}
 
 
 class TestContainer:
@@ -56,14 +99,38 @@ class TestContainer:
     def test_rejects_bad_offsets(self, tmp_path):
         path = tmp_path / "t.ptc"
         write_container(path, {"x": np.ones(4)})
-        raw = bytearray(path.read_bytes())
-        man_len = int.from_bytes(raw[4:8], "little")
-        manifest = json.loads(raw[8 : 8 + man_len])
-        manifest["tensors"]["x"]["offset"] = 10_000
-        payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(b"PTC1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+        rewrite_manifest(path, ("tensors", "x", "offset"), 10_000)
         with pytest.raises(ConfigError, match="byte range"):
             read_container(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_rejects_malformed_manifest(self, tmp_path, case):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"x": np.ones(4)})
+        rewrite_manifest(path, *MALFORMED_MANIFESTS[case])
+        with pytest.raises(ConfigError):
+            read_container(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_bytes_read_or_raise_config_error(self, tmp_path, data):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"a/b": np.arange(12.0).reshape(3, 4),
+                               "c": np.ones(7, dtype=np.float32)}, meta={"kind": "x"})
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 7))
+            for pos, bit in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
+                raw[pos] ^= 1 << bit
+        path.write_bytes(bytes(raw))
+        try:
+            tensors, meta = read_container(path)
+        except ConfigError:
+            return
+        assert isinstance(tensors, dict) and isinstance(meta, dict)
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_file_mode_follows_umask(self, tmp_path, umask):
@@ -89,14 +156,7 @@ class TestContainer:
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "t.ptc"
         write_container(path, {"x": np.ones(2)})
-        raw = bytearray(path.read_bytes())
-        man_len = int.from_bytes(raw[4:8], "little")
-        manifest = json.loads(raw[8 : 8 + man_len])
-        manifest["version"] = 99
-        payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(
-            b"PTC1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :]
-        )
+        rewrite_manifest(path, ("version",), 99)
         with pytest.raises(ConfigError, match="version"):
             read_container(path)
 

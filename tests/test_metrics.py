@@ -4,7 +4,6 @@ import pytest
 from posediff.exceptions import NumericsError, ShapeError
 from posediff.metrics import (
     AUC_THRESHOLDS_MM,
-    MetricReport,
     auc,
     compute_report,
     mpjpe,
@@ -191,12 +190,6 @@ class TestAuc:
 
 
 class TestReport:
-    def test_invariant_enforced(self):
-        with pytest.raises(NumericsError):
-            MetricReport(mpjpe_mm=1.0, p_mpjpe_mm=2.0, pck_percent=50.0, auc_percent=50.0)
-        with pytest.raises(NumericsError):
-            MetricReport(mpjpe_mm=1.0, p_mpjpe_mm=0.5, pck_percent=120.0, auc_percent=50.0)
-
     def test_per_action_breakdown(self):
         rng = np.random.default_rng(16)
         gt1 = rng.standard_normal((2, 5, 3)) * 40

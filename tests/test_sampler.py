@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from posediff.diffusion import build_schedule
-from posediff.exceptions import ConfigError, NumericsError, ShapeError
+from posediff.exceptions import ConfigError, NumericsError
 from posediff.sampler import (
     CameraIntrinsics,
     HypothesisSet,
-    MultiHumanInput,
-    character_seed,
     ddim_loop,
     default_camera,
-    estimate_multi,
     estimate_single,
     jpma_aggregate,
     reproject,
@@ -148,6 +145,10 @@ class TestReproject:
         with pytest.raises(NumericsError, match="frame 1, joint 2"):
             reproject(pts, CAM)
 
+    def test_default_camera(self):
+        cam = default_camera()
+        assert cam.fx == cam.fy == 1000.0
+
 
 class TestJpma:
     def test_single_hypothesis_identity(self):
@@ -273,56 +274,3 @@ class TestEstimateSingle:
         # would fail; with it they land near the positive-depth target.
         assert res.poses[..., 2].min() > 0
         assert np.abs(res.poses - target).max() < 0.5
-
-
-class TestEstimateMulti:
-    def build_multi(self, C=3, N=4, J=5, seed=0):
-        rng = np.random.default_rng(seed)
-        targets = [random_positive_depth_hyps(rng, 1, N, J)[0] for _ in range(C)]
-        kp = np.stack([reproject(t, CAM) for t in targets])
-        presence = np.ones((C, N), dtype=bool)
-        if C > 1:
-            presence[1, 2:] = False
-            kp[1, 2:] = 0.0
-        return MultiHumanInput(keypoints=kp, presence=presence), targets
-
-    def test_matches_stacked_singles(self):
-        xmul, targets = self.build_multi()
-        sched = build_schedule(100, "cosine")
-        fns = [FakeDenoiser(t) for t in targets]
-        poses, indices, presence = estimate_multi(
-            xmul, [CAM] * 3, fns, sched, H=3, M=2, seed=11
-        )
-        assert poses.shape == (3, 4, 5, 3)
-        for c in range(3):
-            solo = estimate_single(
-                xmul.keypoints[c], CAM, FakeDenoiser(targets[c]), sched,
-                H=3, M=2, seed=character_seed(11, c),
-                frame_mask=xmul.presence[c],
-            )
-            np.testing.assert_array_equal(poses[c], solo.poses)
-            np.testing.assert_array_equal(indices[c], solo.hypothesis_index)
-        np.testing.assert_array_equal(presence, xmul.presence)
-
-    def test_single_character_matches_estimate_single(self):
-        xmul, targets = self.build_multi(C=1)
-        sched = build_schedule(100, "cosine")
-        poses, _, _ = estimate_multi(
-            xmul, [CAM], [FakeDenoiser(targets[0])], sched, H=2, M=1, seed=3
-        )
-        solo = estimate_single(
-            xmul.keypoints[0], CAM, FakeDenoiser(targets[0]), sched,
-            H=2, M=1, seed=character_seed(3, 0), frame_mask=xmul.presence[0],
-        )
-        np.testing.assert_array_equal(poses[0], solo.poses)
-
-    def test_absent_frames_must_be_zero(self):
-        kp = np.ones((2, 3, 4, 2))
-        presence = np.ones((2, 3), dtype=bool)
-        presence[0, 1] = False
-        with pytest.raises(ShapeError):
-            MultiHumanInput(keypoints=kp, presence=presence)
-
-    def test_default_camera(self):
-        cam = default_camera()
-        assert cam.fx == cam.fy == 1000.0
