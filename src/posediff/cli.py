@@ -172,7 +172,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
 
 def _load_model(checkpoint_path):
     tensors, meta = read_checkpoint(checkpoint_path)
-    cfg = meta.get("run_config")
+    cfg = meta["run_config"]
     if not cfg:
         raise ConfigError(f"{checkpoint_path}: checkpoint carries no run config")
     runtime = build_runtime(cfg)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import _is_int, read_container, write_container
 from .exceptions import ConfigError, ShapeError
 from .rng import rng_for
 from .sampler import CameraIntrinsics, default_camera, reproject
@@ -132,7 +132,7 @@ class SequenceRecord:
 # -- dataset container ---------------------------------------------------------
 
 
-def save_dataset(path, records: list, extra_meta: dict | None = None) -> None:
+def save_dataset(path, records: list) -> None:
     tensors = {}
     index = []
     for rec in records:
@@ -162,8 +162,6 @@ def save_dataset(path, records: list, extra_meta: dict | None = None) -> None:
         "joint_parts": joint_part_map(records[0].n_joints) if records else {},
         "sequences": sorted(index, key=lambda e: e["id"]),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     write_container(path, tensors, meta)
 
 
@@ -171,14 +169,18 @@ def load_dataset(path) -> list:
     tensors, meta = read_container(path)
     if meta.get("kind") != "dataset":
         raise ConfigError(f"{path}: not a dataset container (kind={meta.get('kind')!r})")
+    sequences = meta.get("sequences", [])
+    if not isinstance(sequences, list):
+        raise ConfigError(f"{path}: the sequence index is not a list")
     records = []
-    for entry in meta.get("sequences", []):
+    for i, entry in enumerate(sequences):
+        _check_entry(path, i, entry)
         sid = entry["id"]
         base = f"seq/{sid}"
         kp = tensors.get(f"{base}/keypoints_2d")
         if kp is None:
             raise ConfigError(f"{path}: record {sid!r} is indexed but has no keypoints")
-        n, j = int(entry["n_frames"]), int(entry["n_joints"])
+        n, j = entry["n_frames"], entry["n_joints"]
         if n < 1 or j < 1:
             raise ConfigError(f"{path}: record {sid!r} declares non-positive N or J")
         if kp.shape != (n, j, 2):
@@ -192,6 +194,8 @@ def load_dataset(path) -> list:
         if gt is not None and gt.shape != (n, j, 3):
             raise ConfigError(f"{path}: record {sid!r} gt_3d has shape {gt.shape}")
         presence = tensors.get(f"{base}/presence")
+        if presence is not None and presence.shape != (n,):
+            raise ConfigError(f"{path}: record {sid!r} presence has shape {presence.shape}")
         cam = entry.get("camera")
         records.append(
             SequenceRecord(
@@ -199,13 +203,37 @@ def load_dataset(path) -> list:
                 keypoints_2d=kp,
                 gt_3d=gt,
                 action=entry.get("action", ""),
-                camera=CameraIntrinsics.from_dict(cam) if cam else None,
+                camera=None if cam is None else CameraIntrinsics.from_dict(cam),
                 presence=None if presence is None else presence > 0.5,
                 scene=entry.get("scene"),
                 character=entry.get("character"),
             )
         )
     return records
+
+
+def _check_entry(path, i, entry) -> None:
+    """Raise ConfigError naming index entry ``i`` unless its fields are well typed."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise ConfigError(f"{path}: sequence index entry {i} is not an object with a string id")
+    cam, character = entry.get("camera"), entry.get("character")
+    cam_fields = ("fx", "fy", "cx", "cy")
+    valid = {
+        "n_frames": _is_int(entry.get("n_frames")),
+        "n_joints": _is_int(entry.get("n_joints")),
+        "action": isinstance(entry.get("action", ""), str),
+        "scene": isinstance(entry.get("scene"), (str, type(None))),
+        "character": character is None or _is_int(character),
+        # type(), not isinstance(): JSON true/false must not pass as a number
+        "camera": cam is None
+        or (isinstance(cam, dict) and all(type(cam.get(k)) in (int, float) for k in cam_fields)),
+    }
+    for key, ok in valid.items():
+        if not ok:
+            raise ConfigError(
+                f"{path}: record {entry['id']!r} has a missing or mistyped {key}: "
+                f"{entry.get(key)!r}"
+            )
 
 
 # -- synthetic generator ---------------------------------------------------------
@@ -360,16 +388,7 @@ def synth_generate_multi(
 class NormalizationParams:
     mode: str
     scale_mm: float
-    roots_mm: np.ndarray  # (N, 3) root trajectory used to re-anchor poses
-
-
-def root_trajectory(record: SequenceRecord) -> np.ndarray:
-    """Root joint track used for de-normalization; default depth when no gt."""
-    if record.gt_3d is not None:
-        return record.gt_3d[:, ROOT_JOINT, :].copy()
-    roots = np.zeros((record.n_frames, 3))
-    roots[:, 2] = DEFAULT_ROOT_DEPTH_MM
-    return roots
+    roots_mm: np.ndarray | None  # (N, 3) root track re-anchoring root_centered poses
 
 
 def normalize_keypoints(kp: np.ndarray, cam: CameraIntrinsics, presence=None) -> np.ndarray:
@@ -377,15 +396,6 @@ def normalize_keypoints(kp: np.ndarray, cam: CameraIntrinsics, presence=None) ->
     out = np.empty_like(np.asarray(kp, dtype=np.float64))
     out[..., 0] = (kp[..., 0] - cam.cx) / cam.fx
     out[..., 1] = (kp[..., 1] - cam.cy) / cam.fy
-    if presence is not None:
-        out[~np.asarray(presence, dtype=bool)] = 0.0
-    return out
-
-
-def denormalize_keypoints(kpn: np.ndarray, cam: CameraIntrinsics, presence=None) -> np.ndarray:
-    out = np.empty_like(np.asarray(kpn, dtype=np.float64))
-    out[..., 0] = kpn[..., 0] * cam.fx + cam.cx
-    out[..., 1] = kpn[..., 1] * cam.fy + cam.cy
     if presence is not None:
         out[~np.asarray(presence, dtype=bool)] = 0.0
     return out
@@ -406,9 +416,8 @@ def normalize_record(
     if mode == "root_centered" and record.gt_3d is None:
         raise ConfigError(f"{record.seq_id}: root_centered normalization needs gt_3d")
     cam = record.camera or default_camera()
-    params = NormalizationParams(
-        mode=mode, scale_mm=MM_PER_UNIT, roots_mm=root_trajectory(record)
-    )
+    roots = None if record.gt_3d is None else record.gt_3d[:, ROOT_JOINT, :].copy()
+    params = NormalizationParams(mode=mode, scale_mm=MM_PER_UNIT, roots_mm=roots)
     kp = normalize_keypoints(record.keypoints_2d, cam, record.presence)
     gt = None
     if record.gt_3d is not None:

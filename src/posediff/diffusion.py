@@ -10,16 +10,14 @@ concurrent hypothesis evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, ScheduleError, ShapeError
-from .rng import gaussian
 
 __all__ = [
     "NoiseSchedule",
-    "NoiseSample",
     "build_schedule",
     "forward_diffuse",
     "ddim_epsilon",
@@ -38,7 +36,6 @@ class NoiseSchedule:
     """Per-timestamp beta/alpha tables; alpha_bar is indexed 0..T with alpha_bar[0]=1."""
 
     T: int
-    kind: str
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
@@ -48,26 +45,9 @@ class NoiseSchedule:
         self.alpha.setflags(write=False)
         self.alpha_bar.setflags(write=False)
 
-    def check_timestamp(self, t: int, lo: int = 1):
-        if not (lo <= t <= self.T):
-            raise ScheduleError(f"timestamp {t} outside [{lo}, {self.T}]")
-
-
-@dataclass(frozen=True)
-class NoiseSample:
-    """Unit-Gaussian tensor regenerable bit-exactly from its seed path."""
-
-    epsilon: np.ndarray
-    seed: int
-    path: tuple = field(default_factory=tuple)
-
-    @classmethod
-    def draw(cls, shape, seed: int, *path, dtype=np.float64) -> "NoiseSample":
-        return cls(gaussian(shape, seed, *path, dtype=dtype), int(seed), tuple(path))
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float64) -> "NoiseSample":
-        return cls(np.zeros(shape, dtype=dtype), 0, ())
+    def check_timestamp(self, t: int):
+        if not (1 <= t <= self.T):
+            raise ScheduleError(f"timestamp {t} outside [1, {self.T}]")
 
 
 def build_schedule(
@@ -96,20 +76,18 @@ def build_schedule(
 
     alpha = 1.0 - beta
     alpha_bar = np.concatenate([[1.0], np.cumprod(alpha)])
-    return NoiseSchedule(T=T, kind=kind, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 
 def forward_diffuse(
-    y0: np.ndarray, t: int, sched: NoiseSchedule, noise: NoiseSample
+    y0: np.ndarray, t: int, sched: NoiseSchedule, noise: np.ndarray
 ) -> np.ndarray:
-    """Corrupt y0 to its timestamp-t marginal: sqrt(abar_t)*y0 + eps*sqrt(1-abar_t)."""
+    """Corrupt y0 to its timestamp-t marginal: sqrt(abar_t)*y0 + noise*sqrt(1-abar_t)."""
     sched.check_timestamp(t)
-    if noise.epsilon.shape != np.shape(y0):
-        raise ShapeError(
-            f"noise shape {noise.epsilon.shape} != pose shape {np.shape(y0)}"
-        )
+    if np.shape(noise) != np.shape(y0):
+        raise ShapeError(f"noise shape {np.shape(noise)} != pose shape {np.shape(y0)}")
     abar = sched.alpha_bar[t]
-    return math.sqrt(abar) * y0 + noise.epsilon * math.sqrt(1.0 - abar)
+    return math.sqrt(abar) * y0 + noise * math.sqrt(1.0 - abar)
 
 
 def ddim_epsilon(
@@ -143,7 +121,7 @@ def ddim_step(
     t: int,
     t_prev: int,
     sched: NoiseSchedule,
-    noise: NoiseSample | None = None,
+    noise: np.ndarray | None = None,
     deterministic: bool = True,
 ) -> np.ndarray:
     """One DDIM reverse step from timestamp t to t_prev.
@@ -168,12 +146,10 @@ def ddim_step(
     out = math.sqrt(abar_prev) * y0_hat + eps_t * math.sqrt(under_root)
     if not deterministic and sigma > 0.0:
         if noise is None:
-            raise ScheduleError("stochastic ddim_step requires a NoiseSample")
-        if noise.epsilon.shape != np.shape(yt):
-            raise ShapeError(
-                f"noise shape {noise.epsilon.shape} != pose shape {np.shape(yt)}"
-            )
-        out = out + sigma * noise.epsilon
+            raise ScheduleError("stochastic ddim_step requires noise")
+        if np.shape(noise) != np.shape(yt):
+            raise ShapeError(f"noise shape {np.shape(noise)} != pose shape {np.shape(yt)}")
+        out = out + sigma * noise
     return out
 
 

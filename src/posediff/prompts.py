@@ -28,7 +28,6 @@ __all__ = [
     "PrecomputedTextEncoder",
     "PromptBank",
     "PromptEmbedding",
-    "pooled_prompt",
 ]
 
 TOTAL_TOKENS = 77
@@ -118,7 +117,7 @@ class PrecomputedTextEncoder:
     def encode(self, text: str) -> np.ndarray:
         block = self._blocks.get(text)
         if block is None:
-            raise EncodingError(
+            raise ConfigError(
                 f"no precomputed embedding for prompt text {text!r}; "
                 f"export it or use the hash encoder"
             )
@@ -157,10 +156,6 @@ class PromptEmbedding:
     pooled: Tensor
     spec: PromptSpec = field(default_factory=PromptSpec)
 
-    @property
-    def embed_dim(self):
-        return self.tokens.shape[1]
-
 
 def _pool_selector(spec: PromptSpec) -> np.ndarray:
     """(1, 77) matrix averaging the last row of each prompt block."""
@@ -170,18 +165,13 @@ def _pool_selector(spec: PromptSpec) -> np.ndarray:
     return sel
 
 
-def pooled_prompt(embedding: PromptEmbedding) -> np.ndarray:
-    """Recompute the pooled vector from the assembled tokens."""
-    sel = _pool_selector(embedding.spec)
-    return (sel @ embedding.tokens.data)[0]
-
-
 class PromptBank:
     """Frozen text tokens plus learnable modifiers for the 7 prompts.
 
     Modifiers are shared across action classes; frozen blocks are encoded per
-    action text and cached. Assembled embeddings are immutable snapshots safe
-    for concurrent readers, while the modifiers are mutated only by training.
+    action text by the encoder, their only source, and cached. Assembled
+    embeddings are immutable snapshots safe for concurrent readers, while the
+    modifiers are mutated only by training.
     """
 
     def __init__(self, spec: PromptSpec, encoder, seed: int = 0, dtype=np.float64):
@@ -201,18 +191,6 @@ class PromptBank:
             blocks = encode_texts(self.spec.with_action(key), self.encoder)
             self._frozen_cache[key] = [b.astype(self.dtype) for b in blocks]
         return self._frozen_cache[key]
-
-    def cached_actions(self) -> dict:
-        """Snapshot of every action's frozen blocks encoded so far."""
-        return {k: list(v) for k, v in self._frozen_cache.items()}
-
-    def set_frozen_blocks(self, action: str | None, blocks) -> None:
-        """Install externally provided 4 x D blocks (checkpoint restore)."""
-        blocks = [np.asarray(b, dtype=self.dtype) for b in blocks]
-        for k, b in enumerate(blocks):
-            if b.shape != (FROZEN_ROWS, self.embed_dim):
-                raise ShapeError(f"frozen block {k} has shape {b.shape}")
-        self._frozen_cache[action or "motion"] = blocks
 
     def trainable(self) -> dict:
         return {f"prompt/{k}/modifier": m for k, m in enumerate(self.modifiers)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSample, NoiseSchedule, ddim_step, timestamp_for_iteration
+from .diffusion import NoiseSchedule, ddim_step, timestamp_for_iteration
 from .exceptions import ConfigError, NumericsError, ShapeError
 from .rng import gaussian, rng_for
 
@@ -66,7 +66,6 @@ class HypothesisSet:
     """H candidate pose sequences sharing one (N, J) layout."""
 
     hypotheses: np.ndarray  # (H, N, J, 3)
-    seed_base: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.hypotheses)
@@ -92,7 +91,7 @@ def sample_initial_hypotheses(H: int, n_frames: int, n_joints: int, seed: int) -
     hyps = np.stack(
         [gaussian((n_frames, n_joints, 3), seed, "hypothesis", h) for h in range(H)]
     )
-    return HypothesisSet(hypotheses=hyps, seed_base=int(seed))
+    return HypothesisSet(hyps)
 
 
 def ddim_loop(
@@ -102,19 +101,18 @@ def ddim_loop(
     denoise_fn,
     sched: NoiseSchedule,
     *,
+    seed: int,
     deterministic: bool = True,
-    seed: int | None = None,
 ) -> HypothesisSet:
     """Refine every hypothesis with M denoise/step iterations.
 
     Iteration m denoises at the current timestamp (starting at T) and steps
     to round(T*(1-m/M)); after the final denoise the predicted clean pose is
     returned directly (stepping to timestamp 0 would reproduce it exactly).
+    Stochastic steps draw their noise from (``seed``, "ddim", h, m).
     """
     if M < 1:
         raise ConfigError(f"iteration count must be >= 1, got {M}")
-    if seed is None:
-        seed = hyp.seed_base
     outs = []
     for h in range(hyp.count):
         y = hyp.hypotheses[h]
@@ -131,27 +129,21 @@ def ddim_loop(
             t_next = timestamp_for_iteration(m, M, sched.T)
             if t_next >= t_cur:  # rounding collision on very short schedules
                 continue
-            noise = (
-                None
-                if deterministic
-                else NoiseSample.draw(y.shape, seed, "ddim", h, m)
-            )
+            noise = None if deterministic else gaussian(y.shape, seed, "ddim", h, m)
             y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise, deterministic)
             t_cur = t_next
         outs.append(y0_hat)
-    return HypothesisSet(hypotheses=np.stack(outs), seed_base=hyp.seed_base)
+    return HypothesisSet(np.stack(outs))
 
 
-def reproject(
-    poses: np.ndarray, cam: CameraIntrinsics, depth_epsilon: float = DEPTH_EPSILON
-) -> np.ndarray:
+def reproject(poses: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Pinhole projection u = fx*X/Z + cx, v = fy*Y/Z + cy over (..., J, 3)."""
     poses = np.asarray(poses)
     if poses.shape[-1] != 3:
         raise ShapeError(f"poses must end in xyz, got {poses.shape}")
     z = poses[..., 2]
-    if np.any(z <= depth_epsilon):
-        idx = tuple(int(i) for i in np.argwhere(z <= depth_epsilon)[0])
+    if np.any(z <= DEPTH_EPSILON):
+        idx = tuple(int(i) for i in np.argwhere(z <= DEPTH_EPSILON)[0])
         where = (
             f"frame {idx[-2]}, joint {idx[-1]}" if len(idx) >= 2 else f"joint {idx[-1]}"
         )
@@ -167,7 +159,6 @@ def jpma_aggregate(
     cam: CameraIntrinsics,
     *,
     per_frame: bool = False,
-    depth_epsilon: float = DEPTH_EPSILON,
     frame_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per joint, keep the hypothesis with minimal 2D reprojection error.
@@ -182,7 +173,7 @@ def jpma_aggregate(
     arr = hyps.hypotheses
     if x.shape != arr.shape[1:3] + (2,):
         raise ShapeError(f"keypoints {x.shape} do not match hypotheses {arr.shape}")
-    proj = reproject(arr, cam, depth_epsilon)  # (H, N, J, 2)
+    proj = reproject(arr, cam)  # (H, N, J, 2)
     err = np.linalg.norm(proj - x[None], axis=-1)  # (H, N, J)
     if frame_mask is not None:
         mask = np.asarray(frame_mask, dtype=bool)
@@ -211,7 +202,6 @@ def estimate_single(
     per_frame: bool = False,
     to_camera=None,
     x_pixels: np.ndarray | None = None,
-    depth_epsilon: float = DEPTH_EPSILON,
     frame_mask: np.ndarray | None = None,
 ) -> EstimateResult:
     """Full single-human inference: sample, iterate, aggregate.
@@ -229,11 +219,9 @@ def estimate_single(
     cam_hyps = refined.hypotheses
     if to_camera is not None:
         cam_hyps = np.stack([to_camera(y) for y in cam_hyps])
-    cam_set = HypothesisSet(cam_hyps, seed_base=refined.seed_base)
     ref_x = x if x_pixels is None else np.asarray(x_pixels)
     poses, sel = jpma_aggregate(
-        cam_set, ref_x, cam, per_frame=per_frame, depth_epsilon=depth_epsilon,
-        frame_mask=frame_mask,
+        HypothesisSet(cam_hyps), ref_x, cam, per_frame=per_frame, frame_mask=frame_mask
     )
     return EstimateResult(poses=poses, hypothesis_index=sel, hypotheses=cam_hyps)
 

@@ -17,11 +17,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .container import read_container, write_container
-from .diffusion import NoiseSample, NoiseSchedule, forward_diffuse
+from .container import _is_int, read_container, write_container
+from .diffusion import NoiseSchedule, forward_diffuse
 from .exceptions import ConfigError, NumericsError, ShapeError
-from .prompts import FROZEN_ROWS
-from .rng import rng_for
+from .rng import gaussian, rng_for
 
 __all__ = [
     "TrainConfig",
@@ -203,7 +202,7 @@ class Trainer:
                         1, self.sched.T + 1
                     )
                 )
-                eps = NoiseSample.draw(
+                eps = gaussian(
                     y0.shape, self.seed, "epoch", epoch, "step", step, "noise", slot,
                     dtype=dtype,
                 )
@@ -235,15 +234,16 @@ class Trainer:
 
 
 def save_checkpoint(path, trainer: Trainer, run_config: dict | None = None) -> None:
+    """Weights, prompt modifiers, optimizer moments and training position.
+
+    The frozen prompt text is not stored: the run config's encoder rebuilds it.
+    """
     tensors = {}
     for name, p in trainer.model.weights.items():
         tensors[f"weights/{name}"] = p.data
     if trainer.bank is not None:
         for k, mod in enumerate(trainer.bank.modifiers):
             tensors[f"prompt/{k}/modifier"] = mod.data
-        for action, blocks in trainer.bank.cached_actions().items():
-            for k, b in enumerate(blocks):
-                tensors[f"prompt_frozen/{action}/{k}"] = b
     for name in trainer.opt.params:
         tensors[f"opt/m/{name}"] = trainer.opt.m[name]
         tensors[f"opt/v/{name}"] = trainer.opt.v[name]
@@ -267,6 +267,8 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     tensors, meta = read_container(path)
     if meta.get("kind") != "checkpoint":
         raise ConfigError(f"{path}: not a checkpoint (kind={meta.get('kind')!r})")
+    if not isinstance(meta.get("run_config"), dict):
+        raise ConfigError(f"{path}: checkpoint meta has no run_config object")
     return tensors, meta
 
 
@@ -281,27 +283,23 @@ def _checkpoint_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def restore_model(model, bank, tensors: dict) -> None:
-    """Install checkpoint weights and prompt state (shared by train and infer)."""
+    """Install checkpoint weights and prompt modifiers (shared by train and infer).
+
+    ``prompt_frozen/*`` tensors in checkpoints of earlier versions are ignored.
+    """
     for name, p in model.weights.items():
         p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape).astype(p.data.dtype)
     if bank is not None:
         for k, mod in enumerate(bank.modifiers):
             key = f"prompt/{k}/modifier"
             mod.data = _checkpoint_tensor(tensors, key, mod.data.shape).astype(mod.data.dtype)
-        actions = {
-            key.split("/")[1] for key in tensors if key.startswith("prompt_frozen/")
-        }
-        shape = (FROZEN_ROWS, bank.embed_dim)
-        for action in sorted(actions):
-            blocks = [
-                _checkpoint_tensor(tensors, f"prompt_frozen/{action}/{k}", shape)
-                for k in range(len(bank.modifiers))
-            ]
-            bank.set_frozen_blocks(action, blocks)
 
 
 def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
     """Install checkpoint state into a freshly built trainer (bit-exact resume)."""
+    for key in ("opt_step", "epoch", "epoch_step"):
+        if not _is_int(meta.get(key)):
+            raise ConfigError(f"checkpoint meta {key!r} must be an integer, got {meta.get(key)!r}")
     restore_model(trainer.model, trainer.bank, tensors)
     # restore_model swaps the data of the optimizer's own parameter tensors
     opt = trainer.opt
@@ -309,9 +307,9 @@ def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
         for moments, key in ((opt.m, f"opt/m/{name}"), (opt.v, f"opt/v/{name}")):
             stored = _checkpoint_tensor(tensors, key, moments[name].shape)
             moments[name] = stored.astype(moments[name].dtype)
-    opt.step_count = int(meta["opt_step"])
-    trainer.epoch = int(meta["epoch"])
-    trainer.epoch_step = int(meta.get("epoch_step", 0))
+    opt.step_count = meta["opt_step"]
+    trainer.epoch = meta["epoch"]
+    trainer.epoch_step = meta["epoch_step"]
 
 
 # -- gradient verification ---------------------------------------------------------

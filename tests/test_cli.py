@@ -34,6 +34,19 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "ckpt": ckpt, "pred": pred, "trainer": trainer}
 
 
+def write_embeddings(path, dim=32):
+    """Embeddings file with a 4 x dim block for each default prompt text only."""
+    from posediff.prompts import PromptSpec
+
+    rng = np.random.default_rng(0)
+    tensors, texts = {}, {}
+    for k, text in enumerate(PromptSpec().texts):
+        tensors[f"prompt/{k}/frozen"] = rng.standard_normal((4, dim))
+        texts[f"prompt/{k}"] = text
+    write_container(path, tensors, meta={"texts": texts})
+    return path
+
+
 def log_rows(run_dir):
     """log.csv rows without the wall-clock column."""
     with open(os.path.join(run_dir, "log.csv")) as f:
@@ -84,17 +97,8 @@ class TestConfig:
 
     def test_file_encoder_runtime(self, tmp_path):
         from posediff.config import build_runtime
-        from posediff.prompts import PromptSpec
 
-        spec = PromptSpec()
-        rng = np.random.default_rng(0)
-        tensors, texts = {}, {}
-        for k, text in enumerate(spec.texts):
-            tensors[f"prompt/{k}/frozen"] = rng.standard_normal((4, 32))
-            texts[f"prompt/{k}"] = text
-        emb = tmp_path / "emb.ptc"
-        write_container(emb, tensors, meta={"texts": texts})
-
+        emb = write_embeddings(tmp_path / "emb.ptc")
         cfg = tiny_cfg()
         cfg["prompt"]["encoder"] = "file"
         cfg["prompt"]["embeddings_file"] = str(emb)
@@ -189,8 +193,9 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "trained 4 steps" in out and "nan" not in out
 
-    @pytest.mark.parametrize("moment", ["m", "v"])
-    def test_resume_rejects_missing_optimizer_moment(self, tmp_path, capsys, moment):
+    @staticmethod
+    def one_step_run(tmp_path):
+        """Train one step through ``main``; returns its train args and last checkpoint."""
         data = tmp_path / "d.ptc"
         save_dataset(data, synth_generate(2, 8, 17, seed=2))
         config = tmp_path / "cfg.json"
@@ -198,7 +203,11 @@ class TestTrainCommand:
         args = ["train", "--preset", "tiny", "--config", str(config),
                 "--data", str(data), "--out", str(tmp_path / "run")]
         assert main(args + ["--steps", "1"]) == 0
-        last = tmp_path / "run" / "ckpt_last.ptc"
+        return args, tmp_path / "run" / "ckpt_last.ptc"
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_resume_rejects_missing_optimizer_moment(self, tmp_path, capsys, moment):
+        args, last = self.one_step_run(tmp_path)
         tensors, meta = read_container(last)
         dropped = sorted(k for k in tensors if k.startswith(f"opt/{moment}/"))[0]
         del tensors[dropped]
@@ -206,6 +215,36 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(args + ["--resume", "--steps", "2"]) == 1
         assert dropped in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("opt_step", None), ("epoch", "1"), ("epoch_step", 0.0), ("run_config", None)],
+    )
+    def test_resume_rejects_malformed_meta(self, tmp_path, capsys, key, value):
+        args, last = self.one_step_run(tmp_path)
+        tensors, meta = read_container(last)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        write_container(last, tensors, meta)
+        capsys.readouterr()
+        assert main(args + ["--resume", "--steps", "2"]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_action_missing_from_embeddings_file(self, tmp_path, capsys):
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(1, 8, 17, seed=2, motion_kind="walk_cycle"))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "data": {"n_frames": 8}, "model": {"feature_dim": 32},
+            "prompt": {"encoder": "file",
+                       "embeddings_file": str(write_embeddings(tmp_path / "emb.ptc"))},
+        }))
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--steps", "1"]) == 1
+        assert "walk_cycle" in capsys.readouterr().err
 
     def test_resume_rejects_config_change(self, tmp_path):
         data = tmp_path / "d.ptc"
@@ -287,17 +326,14 @@ class TestEstimateCommand:
                 tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], solo.hypothesis_index
             )
 
-    @pytest.mark.parametrize("damage", ["missing_modifier", "modifier_shape", "missing_frozen"])
+    @pytest.mark.parametrize("damage", ["missing_modifier", "modifier_shape"])
     def test_incomplete_prompt_state_is_config_error(self, workspace, tmp_path, capsys, damage):
         tensors, meta = read_container(workspace["ckpt"])
         key = "prompt/3/modifier"
         if damage == "missing_modifier":
             del tensors[key]
-        elif damage == "modifier_shape":
-            tensors[key] = tensors[key][:-1]
         else:
-            key = sorted(k for k in tensors if k.startswith("prompt_frozen/"))[-1]
-            del tensors[key]
+            tensors[key] = tensors[key][:-1]
         ckpt = tmp_path / "ckpt.ptc"
         write_container(ckpt, tensors, meta)
         capsys.readouterr()
@@ -305,6 +341,30 @@ class TestEstimateCommand:
                      "--out", str(tmp_path / "p.ptc"), "--hypotheses", "1",
                      "--iterations", "1"]) == 1
         assert key in capsys.readouterr().err
+
+    def test_inference_only_records(self, workspace, tmp_path, capsys):
+        from dataclasses import replace
+
+        data = tmp_path / "d.ptc"
+        run_synth(data, n_sequences=2, n_frames=8, n_joints=17, seed=3, motion="mixed",
+                  characters=2)
+        no_gt = tmp_path / "no_gt.ptc"
+        save_dataset(no_gt, [replace(rec, gt_3d=None) for rec in load_dataset(data)])
+
+        cfg = tiny_cfg()
+        cfg["data"]["normalize"] = "image_normalized"
+        ckpt, _ = run_train(cfg, data, tmp_path / "run", max_steps=8, epochs=10**6)
+        kept, dropped = tmp_path / "kept.ptc", tmp_path / "dropped.ptc"
+        run_estimate(ckpt, data, kept, hypotheses=2, iterations=2, seed=4)
+        run_estimate(ckpt, no_gt, dropped, hypotheses=2, iterations=2, seed=4)
+        assert kept.read_bytes() == dropped.read_bytes()
+
+        # root_centered re-anchors poses on the ground-truth root track
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]), "--data", str(no_gt),
+                     "--out", str(tmp_path / "p.ptc"), "--hypotheses", "1",
+                     "--iterations", "1"]) == 1
+        assert "scene000/ch0: root_centered normalization needs gt_3d" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch(self, workspace, tmp_path):
         data = tmp_path / "other.ptc"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from posediff.cli import main
 from posediff.container import read_container, write_container
 from posediff.data import (
     PARENTS_17,
@@ -63,6 +64,24 @@ MALFORMED_MANIFESTS = {
     "negative_dims": (("tensors", "x", "shape"), [-1, -4]),
     "offset_string": (("tensors", "x", "offset"), "0"),
     "nbytes_float": (("tensors", "x", "nbytes"), 32.0),
+}
+
+
+# (manifest keys under meta.sequences, new value, expected error text)
+MALFORMED_DATASET_ENTRIES = {
+    "index_not_list": ((), {"seq000": {}}, "index is not a list"),
+    "entry_not_object": ((1,), "seq001", "entry 1"),
+    "no_id": ((1, "id"), DELETE, "entry 1"),
+    "id_not_string": ((1, "id"), 7, "entry 1"),
+    "no_n_frames": ((1, "n_frames"), DELETE, "seq001.*n_frames"),
+    "n_frames_float": ((1, "n_frames"), 4.0, "seq001.*n_frames"),
+    "n_joints_bool": ((1, "n_joints"), True, "seq001.*n_joints"),
+    "action_not_string": ((1, "action"), 5, "seq001.*action"),
+    "scene_not_string": ((1, "scene"), ["s"], "seq001.*scene"),
+    "character_string": ((1, "character"), "0", "seq001.*character"),
+    "camera_not_object": ((1, "camera"), [1000.0], "seq001.*camera"),
+    "camera_no_fy": ((1, "camera"), {"fx": 1.0}, "seq001.*camera"),
+    "camera_string_cx": ((1, "camera", "cx"), "500", "seq001.*camera"),
 }
 
 
@@ -184,6 +203,26 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="seq000"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATASET_ENTRIES))
+    def test_rejects_malformed_index_entry(self, tmp_path, case):
+        path = tmp_path / "d.ptc"
+        save_dataset(path, synth_generate(2, 4, 17, seed=1))
+        keys, value, error = MALFORMED_DATASET_ENTRIES[case]
+        rewrite_manifest(path, ("meta", "sequences") + keys, value)
+        with pytest.raises(ConfigError, match=error):
+            load_dataset(path)
+        assert main(["train", "--preset", "tiny", "--data", str(path),
+                     "--out", str(tmp_path / "run"), "--steps", "1"]) == 1
+
+    def test_presence_length_mismatch_names_record(self, tmp_path):
+        path = tmp_path / "d.ptc"
+        save_dataset(path, synth_generate_multi(2, 8, 17, seed=1))
+        tensors, meta = read_container(path)
+        tensors["seq/scene000/ch1/presence"] = tensors["seq/scene000/ch1/presence"][:-1]
+        write_container(path, tensors, meta)
+        with pytest.raises(ConfigError, match="scene000/ch1.*presence"):
+            load_dataset(path)
+
     def test_inference_only_record(self, tmp_path):
         rec = SequenceRecord(
             seq_id="x",
@@ -292,12 +331,13 @@ class TestNormalize:
         assert mpjpe(pred_mm, rec.gt_3d) < 1e-6
 
     def test_keypoint_normalization_invertible(self):
+        # rays are ((u - cx) / fx, (v - cy) / fy): invertible for fx, fy > 0
         rec = synth_generate(1, 6, 17, seed=12)[0]
-        from posediff.data import denormalize_keypoints
-
-        rays = normalize_keypoints(rec.keypoints_2d, rec.camera)
-        back = denormalize_keypoints(rays, rec.camera)
-        np.testing.assert_allclose(back, rec.keypoints_2d, atol=1e-9)
+        cam = CameraIntrinsics(fx=800.0, fy=1200.0, cx=320.0, cy=240.0)
+        rays = normalize_keypoints(rec.keypoints_2d, cam)
+        u, v = rec.keypoints_2d[..., 0], rec.keypoints_2d[..., 1]
+        np.testing.assert_array_equal(rays[..., 0], (u - 320.0) / 800.0)
+        np.testing.assert_array_equal(rays[..., 1], (v - 240.0) / 1200.0)
 
     def test_masked_frames_zero_in_keypoints_only(self):
         recs = synth_generate_multi(2, 8, 17, seed=13)

@@ -12,6 +12,13 @@ from posediff.denoiser import (
 from posediff.exceptions import ConfigError, ShapeError
 from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
 
+from test_prompts import stub_encoder
+
+
+def fixed_text_bank(encode):
+    """8-dim prompt bank whose encoder maps each prompt text through ``encode``."""
+    return PromptBank(PromptSpec(), stub_encoder(8, encode), seed=2)
+
 
 def tiny_config(**kw):
     base = dict(n_frames=2, n_joints=3, feature_dim=8, heads=2)
@@ -92,13 +99,13 @@ class TestEmbedInput:
         assert z.shape == (2, 3, 8)
 
     def test_all_zero_path(self, setup):
-        cfg, model, bank, _, yt, x = setup
+        cfg, model, _, _, yt, x = setup
         for name in ("input/proj/w", "input/proj/b", "input/pos_spatial",
                      "time/fc2/w", "time/fc2/b"):
             model.weights[name].data[:] = 0
+        bank = fixed_text_bank(lambda text: np.zeros((4, 8)))
         for m in bank.modifiers:
             m.data[:] = 0
-        bank.set_frozen_blocks("motion", [np.zeros((4, 8)) for _ in range(7)])
         z = model.embed_input(yt, x, 5, bank.assemble("motion"))
         np.testing.assert_allclose(z.data, 0.0, atol=1e-15)
 
@@ -163,11 +170,11 @@ class TestCrossAttention:
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_identical_prompt_rows_make_attention_irrelevant(self, setup):
-        cfg, model, bank, _, yt, x = setup
+        cfg, model, _, _, yt, x = setup
         row = np.random.default_rng(5).standard_normal(8)
+        bank = fixed_text_bank(lambda text: np.tile(row, (4, 1)))
         for m in bank.modifiers:
             m.data[:] = row
-        bank.set_frozen_blocks("motion", [np.tile(row, (4, 1)) for _ in range(7)])
         prompt = bank.assemble("motion")
         f = model.embed_input(yt, x, 5, prompt)
         got = model.prompt_cross_attention(f, prompt).data
@@ -181,13 +188,13 @@ class TestCrossAttention:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_saturated_softmax_selects_dominant_row(self, setup):
-        cfg, model, bank, _, yt, x = setup
+        cfg, model, _, _, yt, x = setup
         # Rig key projection so one prompt row dwarfs the rest.
+        person = np.zeros((4, 8))
+        person[0] = 1.0  # a single distinguished row (global row index 3)
+        bank = fixed_text_bank(lambda text: person if text == "person" else np.zeros((4, 8)))
         for m in bank.modifiers:
             m.data[:] = 0.0
-        blocks = [np.zeros((4, 8)) for _ in range(7)]
-        blocks[0][0] = 1.0  # a single distinguished row (global row index 3)
-        bank.set_frozen_blocks("motion", blocks)
         prompt = bank.assemble("motion")
         model.weights["cross/wk"].data[:] = 1000.0 * np.eye(8)
         model.weights["cross/wq"].data[:] = np.eye(8)

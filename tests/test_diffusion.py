@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from posediff.diffusion import (
-    NoiseSample,
     build_schedule,
     ddim_epsilon,
     ddim_sigma,
@@ -13,6 +12,7 @@ from posediff.diffusion import (
     timestamp_for_iteration,
 )
 from posediff.exceptions import ConfigError, ScheduleError, ShapeError
+from posediff.rng import gaussian
 
 
 def make_linear(T, b0, b1):
@@ -59,7 +59,7 @@ class TestForwardDiffuse:
         # alpha_bar[1] = 0.25 from beta = 0.75.
         s = make_linear(1, 0.75, 0.75)
         y0 = np.array([2.0])
-        eps = NoiseSample(np.array([1.0]), seed=0)
+        eps = np.array([1.0])
         out = forward_diffuse(y0, 1, s, eps)
         np.testing.assert_allclose(out, [0.5 * 2.0 + math.sqrt(0.75)], rtol=1e-12)
 
@@ -67,31 +67,31 @@ class TestForwardDiffuse:
         # beta tiny: alpha_bar ~ 1 so output ~ y0.
         s = make_linear(1, 1e-12, 1e-12)
         y0 = np.arange(6.0).reshape(2, 3)
-        eps = NoiseSample.zeros(y0.shape)
+        eps = np.zeros(y0.shape)
         np.testing.assert_allclose(forward_diffuse(y0, 1, s, eps), y0, rtol=1e-9)
 
     def test_zero_epsilon(self):
         s = make_linear(3, 0.1, 0.3)
         y0 = np.ones((2, 3, 3))
-        out = forward_diffuse(y0, 2, s, NoiseSample.zeros(y0.shape))
+        out = forward_diffuse(y0, 2, s, np.zeros(y0.shape))
         np.testing.assert_allclose(out, math.sqrt(s.alpha_bar[2]) * y0, rtol=1e-12)
 
     def test_range_and_shape_errors(self):
         s = make_linear(3, 0.1, 0.3)
         y0 = np.ones((2, 3))
         with pytest.raises(ScheduleError):
-            forward_diffuse(y0, 4, s, NoiseSample.zeros(y0.shape))
+            forward_diffuse(y0, 4, s, np.zeros(y0.shape))
         with pytest.raises(ScheduleError):
-            forward_diffuse(y0, 0, s, NoiseSample.zeros(y0.shape))
+            forward_diffuse(y0, 0, s, np.zeros(y0.shape))
         with pytest.raises(ShapeError):
-            forward_diffuse(y0, 1, s, NoiseSample.zeros((3, 2)))
+            forward_diffuse(y0, 1, s, np.zeros((3, 2)))
 
     def test_seed_determinism(self):
-        a = NoiseSample.draw((4, 5), 123, "noise", 7)
-        b = NoiseSample.draw((4, 5), 123, "noise", 7)
-        c = NoiseSample.draw((4, 5), 124, "noise", 7)
-        assert np.array_equal(a.epsilon, b.epsilon)
-        assert not np.array_equal(a.epsilon, c.epsilon)
+        a = gaussian((4, 5), 123, "noise", 7)
+        b = gaussian((4, 5), 123, "noise", 7)
+        c = gaussian((4, 5), 124, "noise", 7)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_empirical_moments(self):
         # Sample mean ~ sqrt(abar)*y0 and variance ~ 1-abar, within 3 SE.
@@ -101,7 +101,7 @@ class TestForwardDiffuse:
         n = 10_000
         draws = np.stack(
             [
-                forward_diffuse(y0, t, s, NoiseSample.draw(y0.shape, 99, i))
+                forward_diffuse(y0, t, s, gaussian(y0.shape, 99, i))
                 for i in range(n)
             ]
         )
@@ -126,10 +126,10 @@ class TestDdimEpsilon:
         for _ in range(100):
             y0 = rng.standard_normal((2, 3, 3))
             t = int(rng.integers(1, 51))
-            eps = NoiseSample(rng.standard_normal(y0.shape), seed=0)
+            eps = rng.standard_normal(y0.shape)
             yt = forward_diffuse(y0, t, s, eps)
             rec = ddim_epsilon(yt, y0, t, s)
-            err = np.abs(rec - eps.epsilon) / np.maximum(np.abs(eps.epsilon), 1e-12)
+            err = np.abs(rec - eps) / np.maximum(np.abs(eps), 1e-12)
             assert err.max() < 1e-10
 
     def test_scalar_inverts_forward_example(self):
@@ -197,7 +197,7 @@ class TestDdimStep:
         eps_t = 1.0
         want = math.sqrt(0.5) * 2.0 + eps_t * math.sqrt(1.0 - 0.5 - sigma**2)
         out = ddim_step(
-            yt, y0h, 2, 1, s, noise=NoiseSample.zeros((1,)), deterministic=False
+            yt, y0h, 2, 1, s, noise=np.zeros(1), deterministic=False
         )
         np.testing.assert_allclose(out, [want], rtol=1e-10)
 
@@ -205,7 +205,7 @@ class TestDdimStep:
         s = build_schedule(30, "cosine")
         rng = np.random.default_rng(11)
         y0 = rng.standard_normal((4, 5, 3))
-        yt = forward_diffuse(y0, 30, s, NoiseSample.draw(y0.shape, 1))
+        yt = forward_diffuse(y0, 30, s, gaussian(y0.shape, 1))
         ts = [30, 24, 18, 12, 6, 0]
         for t, tp in zip(ts[:-1], ts[1:]):
             yt = ddim_step(yt, y0, t, tp, s, deterministic=True)

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from posediff.autodiff import Tensor
 from posediff.container import write_container
-from posediff.exceptions import ConfigError, EncodingError
+from posediff.exceptions import ConfigError, EncodingError, ShapeError
 from posediff.prompts import (
     FROZEN_ROWS,
     HashTextEncoder,
@@ -12,8 +14,12 @@ from posediff.prompts import (
     PromptSpec,
     encode_texts,
     init_modifiers,
-    pooled_prompt,
 )
+
+
+def stub_encoder(embed_dim, encode):
+    """Text encoder whose ``encode(text)`` is the given function."""
+    return SimpleNamespace(embed_dim=embed_dim, encode=encode)
 
 
 class TestPromptSpec:
@@ -115,10 +121,9 @@ class TestAssemble:
         np.testing.assert_array_equal(emb.tokens.data[3:7], bank.frozen_blocks()[0])
 
     def test_zeroed_bank_pools_to_zero(self):
-        bank = self.make_bank()
+        bank = PromptBank(PromptSpec(), stub_encoder(8, lambda text: np.zeros((4, 8))))
         for m in bank.modifiers:
             m.data[:] = 0
-        bank.set_frozen_blocks("motion", [np.zeros((4, 8)) for _ in range(7)])
         emb = bank.assemble("motion")
         np.testing.assert_array_equal(emb.pooled.data, np.zeros((1, 8)))
 
@@ -128,24 +133,22 @@ class TestAssemble:
         ends = np.cumsum(bank.spec.token_budget) - 1
         want = emb.tokens.data[ends].mean(axis=0)
         np.testing.assert_allclose(emb.pooled.data[0], want, atol=1e-12)
-        np.testing.assert_allclose(pooled_prompt(emb), want, atol=1e-12)
 
     def test_pooled_of_identical_rows(self):
-        bank = self.make_bank()
         u = np.arange(8.0)
+        bank = PromptBank(PromptSpec(), stub_encoder(8, lambda text: np.tile(u, (4, 1))))
         for m in bank.modifiers:
             m.data[:] = u
-        bank.set_frozen_blocks("motion", [np.tile(u, (4, 1)) for _ in range(7)])
         emb = bank.assemble("motion")
         np.testing.assert_allclose(emb.pooled.data[0], u, atol=1e-12)
 
     def test_pooled_linearity(self):
         bank = self.make_bank()
         emb = bank.assemble()
-        scaled = PromptBank(PromptSpec(), HashTextEncoder(8, seed=0), seed=0)
+        hashed = HashTextEncoder(8, seed=0)
+        scaled = PromptBank(PromptSpec(), stub_encoder(8, lambda text: 3.0 * hashed.encode(text)))
         for m_src, m_dst in zip(bank.modifiers, scaled.modifiers):
             m_dst.data[:] = 3.0 * m_src.data
-        scaled.set_frozen_blocks("motion", [3.0 * b for b in bank.frozen_blocks()])
         emb3 = scaled.assemble("motion")
         np.testing.assert_allclose(emb3.pooled.data, 3.0 * emb.pooled.data, atol=1e-12)
 
@@ -165,12 +168,7 @@ class TestAssemble:
         assert all(isinstance(v, Tensor) for v in bank.trainable().values())
 
     def test_dimension_mismatch_raises(self):
-        from posediff.exceptions import ShapeError
-
-        bank = self.make_bank(dim=8)
-        with pytest.raises(ShapeError):
-            bank.set_frozen_blocks("motion", [np.zeros((4, 6)) for _ in range(7)])
-        bank._frozen_cache["motion"] = [np.zeros((4, 6)) for _ in range(7)]
+        bank = PromptBank(PromptSpec(), stub_encoder(8, lambda text: np.zeros((4, 6))))
         with pytest.raises(ShapeError, match="modifier dim"):
             bank.assemble("motion")
 
@@ -200,5 +198,5 @@ class TestPrecomputedEncoder:
             meta={"texts": {"prompt/0": "person"}},
         )
         enc = PrecomputedTextEncoder(path)
-        with pytest.raises(EncodingError, match="legs"):
+        with pytest.raises(ConfigError, match="legs"):
             enc.encode("legs")

@@ -84,7 +84,7 @@ class TestDdimLoop:
             return y * 0.5
 
         hyp = sample_initial_hypotheses(1, 2, 3, seed=0)
-        out = ddim_loop(np.zeros((2, 3, 2)), hyp, 1, fn, sched)
+        out = ddim_loop(np.zeros((2, 3, 2)), hyp, 1, fn, sched, seed=0)
         assert calls == [100]
         np.testing.assert_array_equal(out.hypotheses[0], hyp.hypotheses[0] * 0.5)
 
@@ -97,7 +97,7 @@ class TestDdimLoop:
             return np.zeros_like(y)
 
         hyp = sample_initial_hypotheses(20, 2, 3, seed=0)
-        ddim_loop(np.zeros((2, 3, 2)), hyp, 10, fn, sched)
+        ddim_loop(np.zeros((2, 3, 2)), hyp, 10, fn, sched, seed=0)
         assert len(calls) == 200
         # every hypothesis visits T, T(1-1/M), ..., T/M
         want = [1000, 900, 800, 700, 600, 500, 400, 300, 200, 100]
@@ -108,7 +108,7 @@ class TestDdimLoop:
         rng = np.random.default_rng(4)
         y_star = rng.standard_normal((3, 4, 3))
         hyp = sample_initial_hypotheses(4, 3, 4, seed=1)
-        out = ddim_loop(np.zeros((3, 4, 2)), hyp, 10, lambda y, x, t: y_star, sched)
+        out = ddim_loop(np.zeros((3, 4, 2)), hyp, 10, lambda y, x, t: y_star, sched, seed=0)
         for h in range(4):
             np.testing.assert_allclose(out.hypotheses[h], y_star, atol=1e-8)
 
