@@ -51,9 +51,12 @@ def _fmt(v: float) -> str:
 def _worker_count() -> int:
     raw = os.environ.get("POSEDIFF_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"POSEDIFF_THREADS must be an integer, got {raw!r}")
+    if workers < 1:
+        raise ConfigError(f"POSEDIFF_THREADS must be at least 1, got {raw!r}")
+    return workers
 
 
 # -- synth -----------------------------------------------------------------------
@@ -227,6 +230,7 @@ def run_estimate(
     seed=None,
     per_frame=None,
 ):
+    workers = _worker_count()
     runtime = _load_model(checkpoint_path)
     cfg = runtime.cfg
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]
@@ -242,7 +246,6 @@ def run_estimate(
     def work(rec):
         return _estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame)
 
-    workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, records))

@@ -1,5 +1,9 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from posediff.autodiff import Tensor, concat, gelu, layer_norm, linear, no_grad, softmax
 
@@ -113,6 +117,18 @@ def test_gelu_values():
     np.testing.assert_allclose(gelu(x).data, [0.0, 10.0, 0.0], atol=1e-8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_and_gelu_match_reference_formulas_bitwise(dtype):
+    # the ops work in place on their temporaries; results must not move
+    a = (3 * np.random.default_rng(4).standard_normal((2, 5, 7))).astype(dtype)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
+    cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
+    out = gelu(Tensor(a)).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, a * cdf)
+
+
 def test_layer_norm_grad():
     check_op(
         lambda x, g, b: (layer_norm(x, g, b) ** 2).sum(), (2, 3, 6), (6,), (6,)
@@ -130,6 +146,57 @@ def test_layer_norm_normalizes():
 
 def test_linear_grad():
     check_op(lambda x, w, b: (linear(x, w, b) ** 2).sum(), (2, 3, 4), (4, 5), (5,))
+
+
+def test_linear_grad_permuted_input():
+    # a (3, 2, 4) view of (2, 3, 4) memory, as the temporal blocks pass it
+    check_op(lambda x, w, b: (linear(x.permute(1, 0, 2), w, b) ** 2).sum(),
+             (2, 3, 4), (4, 5), (5,))
+
+
+def test_linear_grad_without_bias():
+    check_op(lambda x, w: (linear(x, w) ** 2).sum(), (2, 3, 4), (4, 5))
+
+
+def _linear_inputs(x_shape, seed=0):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((x_shape[-1], 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    return x, w, b
+
+
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("case", ["2d", "3d", "permuted_3d", "no_bias"])
+def test_linear_matches_matmul_plus_bias(case, recording):
+    x, w, b = _linear_inputs((6, 4) if case == "2d" else (2, 3, 4))
+    xin = x.permute(1, 0, 2) if case == "permuted_3d" else x
+    ref = xin.data @ w.data if case == "no_bias" else xin.data @ w.data + b.data
+    with contextlib.nullcontext() if recording else no_grad():
+        out = linear(xin, w) if case == "no_bias" else linear(xin, w, b)
+    assert out.shape == ref.shape
+    assert out.requires_grad == recording
+    if recording:
+        # training keeps the composition's rounding exactly
+        np.testing.assert_array_equal(out.data, ref)
+    else:
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_is_one_graph_node(with_bias):
+    x, w, b = _linear_inputs((2, 3, 4))
+    out = linear(x, w, b) if with_bias else linear(x, w)
+    parents = (x, w, b) if with_bias else (x, w)
+    assert len(out._parents) == len(parents)
+    assert all(p is q for p, q in zip(out._parents, parents))
+    out.sum().backward()
+    assert w.grad.shape == w.shape
+    assert x.grad.shape == x.shape
+    if with_bias:
+        assert b.grad.shape == b.shape
+    else:
+        assert b.grad is None
 
 
 def test_grad_of_sum_is_ones():

@@ -295,6 +295,18 @@ class TestEstimateCommand:
         run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=1, seed=5)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_is_config_error(self, workspace, tmp_path, monkeypatch,
+                                                    capsys, threads):
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        capsys.readouterr()
+        out = tmp_path / "p.ptc"
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                     "--data", str(workspace["data"]), "--out", str(out),
+                     "--hypotheses", "1", "--iterations", "1"]) == 1
+        assert "POSEDIFF_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("characters", [1, 2])
     def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):
         from posediff.cli import _load_model

@@ -326,6 +326,43 @@ class TestDenoise:
         final = model.denoise_array(yt, x, 9, bank.assemble("sit"))
         assert np.sqrt(np.mean((final - y0) ** 2)) < 1e-2
 
+    def test_linear_primitive_matches_composition(self, monkeypatch):
+        # The tiny preset's network shape, run with the ``linear`` primitive
+        # and with the matmul-plus-bias composition it replaced: training
+        # (graph recorded) must round identically; inference, which flattens
+        # the leading axes into one GEMM, may differ by rounding only.
+        from posediff import denoiser
+
+        cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
+        model = Denoiser.create(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(5)
+        for name, w in model.weights.items():
+            if name.endswith(("/b", "bq", "bk", "bv", "bo")):
+                w.data[:] = 0.1 * rng.standard_normal(w.shape)
+        bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=np.float32)
+        prompt = bank.assemble("walk_cycle")
+        yt = rng.standard_normal((16, 17, 3))
+        x = rng.standard_normal((16, 17, 2))
+        target = rng.standard_normal((16, 17, 3)).astype(np.float32)
+
+        def run():
+            for w in model.weights.values():
+                w.grad = None
+            out = model.denoise(yt, x, 30, prompt)
+            (out * target).sum().backward()
+            grads = {k: w.grad for k, w in model.weights.items()}
+            return out.data, grads, model.denoise_array(yt, x, 30, prompt)
+
+        out, grads, inferred = run()
+        monkeypatch.setattr(
+            denoiser, "linear", lambda x, w, b=None: x @ w if b is None else x @ w + b
+        )
+        ref_out, ref_grads, ref_inferred = run()
+        np.testing.assert_array_equal(out, ref_out)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
+        np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
+
     def test_float32_weights_give_float32(self):
         cfg = tiny_config()
         model = Denoiser.create(cfg, seed=0, dtype=np.float32)
