@@ -137,7 +137,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         if not os.path.exists(last_path):
             raise ConfigError(f"--resume set but {last_path} does not exist")
         tensors, meta = read_checkpoint(last_path)
-        if meta["run_config"] and config_hash(meta["run_config"]) != runtime.hash:
+        if config_hash(meta["run_config"]) != runtime.hash:
             raise ConfigError(
                 "checkpoint was trained with a different config "
                 f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
@@ -175,10 +175,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
 
 def _load_model(checkpoint_path):
     tensors, meta = read_checkpoint(checkpoint_path)
-    cfg = meta["run_config"]
-    if not cfg:
-        raise ConfigError(f"{checkpoint_path}: checkpoint carries no run config")
-    runtime = build_runtime(cfg)
+    runtime = build_runtime(meta["run_config"])
     restore_model(runtime.model, runtime.bank, tensors)
     return runtime
 
@@ -301,8 +298,18 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=None):
     pred_tensors, pred_meta = read_container(pred_path)
     if pred_meta.get("kind") != "predictions":
         raise ConfigError(f"{pred_path}: not a predictions container")
-    if rigid_only is None:
-        rigid_only = pred_meta.get("config", {}).get("sample", {}).get("rigid_only", False)
+    if rigid_only is None:  # the stored config's; False for a file without one
+        stored = pred_meta.get("config", {})
+        if not isinstance(stored, dict):
+            raise ConfigError(f"{pred_path}: predictions 'config' must be an object")
+        sample = stored.get("sample", {})
+        if not isinstance(sample, dict):
+            raise ConfigError(f"{pred_path}: predictions config 'sample' must be an object")
+        rigid_only = sample.get("rigid_only", False)
+        if not isinstance(rigid_only, bool):
+            raise ConfigError(
+                f"{pred_path}: 'sample.rigid_only' must be true or false, got {rigid_only!r}"
+            )
     records = load_dataset(data_path)
     _pair_predictions(pred_tensors, records)
 

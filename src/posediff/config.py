@@ -26,7 +26,7 @@ __all__ = ["default_config", "preset", "load_config", "config_hash", "build_runt
 DEFAULTS = {
     "seed": 0,
     "dtype": "float32",
-    "schedule": {"T": 1000, "kind": "cosine", "beta_min": 1e-4, "beta_max": 0.02},
+    "schedule": {"T": 1000},
     # the model and train sections are the dataclasses' fields and defaults
     "model": {
         f.name: f.default
@@ -52,7 +52,6 @@ DEFAULTS = {
 PRESETS = {
     "paper": {},
     "tiny": {
-        "dtype": "float32",
         "schedule": {"T": 100},
         "model": {"feature_dim": 64, "heads": 4},
         "data": {"n_frames": 16},
@@ -70,16 +69,12 @@ PRESETS = {
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
+    """Deep overlay of ``override`` on ``base``; ``_validate`` judges the result."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be a section")
-            out[key] = _merge(base[key], value, where)
+        if isinstance(out.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(out[key], value)
         else:
             out[key] = value
     return out
@@ -115,7 +110,27 @@ def load_config(path=None, preset_name: str | None = None, overrides: dict | Non
     return cfg
 
 
+def _schema_errors(cfg, schema: dict, path: str = "") -> list:
+    """Where ``cfg`` leaves ``schema``: each missing or unknown key, by dotted path."""
+    if not isinstance(cfg, dict):
+        return [f"config section {path or 'root'!r} must be an object"]
+    errors = []
+    for key in sorted(set(cfg) | set(schema)):
+        where = f"{path}.{key}" if path else key
+        if key not in schema:
+            errors.append(f"unknown config key {where!r}")
+        elif key not in cfg:
+            errors.append(f"missing config key {where!r}")
+        elif isinstance(schema[key], dict):
+            errors += _schema_errors(cfg[key], schema[key], where)
+    return errors
+
+
 def _validate(cfg: dict):
+    """The one judge of a config: exactly the keys of DEFAULTS, then the values."""
+    errors = _schema_errors(cfg, DEFAULTS)
+    if errors:
+        raise ConfigError("; ".join(errors))
     if cfg["dtype"] not in _DTYPES:
         raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {cfg['dtype']!r}")
     if cfg["prompt"]["encoder"] not in ("hashed", "file"):
@@ -141,8 +156,7 @@ class Runtime:
         self.cfg = cfg
         self.hash = config_hash(cfg)
         self.dtype = _DTYPES[cfg["dtype"]]
-        s = cfg["schedule"]
-        self.sched = build_schedule(s["T"], s["kind"], s["beta_min"], s["beta_max"])
+        self.sched = build_schedule(cfg["schedule"]["T"])
         m = cfg["model"]
         self.model_config = DenoiserConfig(
             n_frames=cfg["data"]["n_frames"], n_joints=cfg["data"]["n_joints"], **m

@@ -387,7 +387,6 @@ def synth_generate_multi(
 @dataclass(frozen=True)
 class NormalizationParams:
     mode: str
-    scale_mm: float
     roots_mm: np.ndarray | None  # (N, 3) root track re-anchoring root_centered poses
 
 
@@ -417,22 +416,22 @@ def normalize_record(
         raise ConfigError(f"{record.seq_id}: root_centered normalization needs gt_3d")
     cam = record.camera or default_camera()
     roots = None if record.gt_3d is None else record.gt_3d[:, ROOT_JOINT, :].copy()
-    params = NormalizationParams(mode=mode, scale_mm=MM_PER_UNIT, roots_mm=roots)
+    params = NormalizationParams(mode=mode, roots_mm=roots)
     kp = normalize_keypoints(record.keypoints_2d, cam, record.presence)
     gt = None
     if record.gt_3d is not None:
         # the zero-fill contract covers the 2D inputs only; 3D poses keep
         # their values so reprojection stays valid on every frame
         if mode == "root_centered":
-            gt = (record.gt_3d - params.roots_mm[:, None, :]) / params.scale_mm
+            gt = (record.gt_3d - params.roots_mm[:, None, :]) / MM_PER_UNIT
         else:
-            gt = record.gt_3d / params.scale_mm
+            gt = record.gt_3d / MM_PER_UNIT
     return replace(record, keypoints_2d=kp, gt_3d=gt), params
 
 
 def denormalize_poses(poses: np.ndarray, params: NormalizationParams) -> np.ndarray:
     """Model units back to camera-space millimeters."""
-    out = np.asarray(poses, dtype=np.float64) * params.scale_mm
+    out = np.asarray(poses, dtype=np.float64) * MM_PER_UNIT
     if params.mode == "root_centered":
         out = out + params.roots_mm[:, None, :]
     return out

@@ -1,10 +1,10 @@
 """Closed-form diffusion mathematics shared by training and inference.
 
 The forward process corrupts a clean pose sequence Y0 toward Gaussian noise
-through a variance schedule; the reverse process reconstructs it with DDIM
-steps driven by a predicted clean sample. All functions here are pure and a
-schedule is immutable after construction, so they are safe to share across
-concurrent hypothesis evaluations.
+through the cosine variance schedule; the reverse process reconstructs it
+with DDIM steps driven by a predicted clean sample. All functions here are
+pure and a schedule is immutable after construction, so they are safe to
+share across concurrent hypothesis evaluations.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ ROOT_CLAMP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestamp beta/alpha tables; alpha_bar is indexed 0..T with alpha_bar[0]=1."""
+    """Cumulative signal table alpha_bar, indexed 0..T with alpha_bar[0]=1."""
 
     T: int
-    beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
     def __post_init__(self):
-        self.beta.setflags(write=False)
-        self.alpha.setflags(write=False)
         self.alpha_bar.setflags(write=False)
 
     def check_timestamp(self, t: int):
@@ -50,33 +46,18 @@ class NoiseSchedule:
             raise ScheduleError(f"timestamp {t} outside [1, {self.T}]")
 
 
-def build_schedule(
-    T: int, kind: str = "cosine", beta_min: float = 1e-4, beta_max: float = 0.02
-) -> NoiseSchedule:
-    """Variance schedule over T timestamps.
-
-    ``linear`` interpolates beta evenly from beta_min to beta_max. ``cosine``
-    follows the squared-cosine cumulative-signal curve (offset 0.008, betas
-    clipped at 0.999); beta_min/beta_max are ignored for it.
+def build_schedule(T: int) -> NoiseSchedule:
+    """Cosine variance schedule over T timestamps: the squared-cosine
+    cumulative-signal curve (offset 0.008), with betas clipped at 0.999.
     """
     if T < 1:
         raise ConfigError(f"schedule length T={T} must be >= 1")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ConfigError(f"need 0 < beta_min <= beta_max < 1, got [{beta_min}, {beta_max}]")
-
-    if kind == "linear":
-        beta = np.linspace(beta_min, beta_max, T, dtype=np.float64)
-    elif kind == "cosine":
-        s = 0.008
-        grid = np.arange(T + 1, dtype=np.float64) / T
-        f = np.cos((grid + s) / (1 + s) * math.pi / 2) ** 2
-        beta = np.clip(1.0 - f[1:] / f[:-1], 0.0, 0.999)
-    else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-
-    alpha = 1.0 - beta
-    alpha_bar = np.concatenate([[1.0], np.cumprod(alpha)])
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    s = 0.008
+    grid = np.arange(T + 1, dtype=np.float64) / T
+    f = np.cos((grid + s) / (1 + s) * math.pi / 2) ** 2
+    beta = np.clip(1.0 - f[1:] / f[:-1], 0.0, 0.999)
+    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
+    return NoiseSchedule(T=T, alpha_bar=alpha_bar)
 
 
 def forward_diffuse(

@@ -13,14 +13,14 @@ loaded from a container file instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, concat
 from .container import read_container
 from .exceptions import ConfigError, EncodingError, ShapeError
-from .rng import gaussian, rng_for
+from .rng import gaussian
 
 __all__ = [
     "PromptSpec",
@@ -70,19 +70,18 @@ class HashTextEncoder:
     The same string therefore always yields identical embeddings.
     """
 
-    def __init__(self, embed_dim: int, seed: int = 0, scale: float = MODIFIER_STD):
+    def __init__(self, embed_dim: int, seed: int = 0):
         if embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         self.embed_dim = embed_dim
         self.seed = seed
-        self.scale = scale
 
     def encode(self, text: str) -> np.ndarray:
         tokens = ["<bos>"] + text.lower().split() + ["<eos>"]
         while len(tokens) < FROZEN_ROWS:
             tokens.append("<pad>")
         rows = [
-            self.scale * gaussian(self.embed_dim, self.seed, "token", tok)
+            MODIFIER_STD * gaussian(self.embed_dim, self.seed, "token", tok)
             for tok in tokens
         ]
         return np.stack(rows)
@@ -154,7 +153,6 @@ class PromptEmbedding:
 
     tokens: Tensor
     pooled: Tensor
-    spec: PromptSpec = field(default_factory=PromptSpec)
 
 
 def _pool_selector(spec: PromptSpec) -> np.ndarray:
@@ -208,4 +206,4 @@ class PromptBank:
             pieces.append(Tensor(txt))
         tokens = concat(pieces, axis=0)
         pooled = Tensor(_pool_selector(self.spec).astype(self.dtype)) @ tokens
-        return PromptEmbedding(tokens=tokens, pooled=pooled, spec=self.spec)
+        return PromptEmbedding(tokens=tokens, pooled=pooled)

@@ -1,6 +1,5 @@
 """Training loop: L2 reconstruction loss, AdamW with decoupled weight decay,
-the per-epoch learning-rate decay, checkpointing, and a finite-difference
-gradient checker.
+the per-epoch learning-rate decay and checkpointing.
 
 One optimizer step is a serial forward/backward/update transaction over the
 weights. Every random draw (shuffle order, timestamp, diffusion noise) is
@@ -12,7 +11,7 @@ run bit-exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "lr_schedule",
     "AdamW",
     "Trainer",
-    "gradient_check",
     "save_checkpoint",
     "read_checkpoint",
     "restore_model",
@@ -47,7 +45,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     weight_decay: float = 0.1
-    grad_clip: float | None = None
     max_steps: int | None = None
     checkpoint_every: int = 1
 
@@ -98,21 +95,6 @@ class AdamW:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def grad_global_norm(self) -> float:
-        total = 0.0
-        for p in self.params.values():
-            if p.grad is not None:
-                total += float((p.grad.astype(np.float64) ** 2).sum())
-        return total**0.5
-
-    def clip_gradients(self, max_norm: float):
-        norm = self.grad_global_norm()
-        if norm > max_norm:
-            factor = max_norm / norm
-            for p in self.params.values():
-                if p.grad is not None:
-                    p.grad *= factor
 
     def step(self, lr: float):
         cfg = self.cfg
@@ -215,8 +197,6 @@ class Trainer:
                 err_n += err.size
             loss = total * (1.0 / len(batch))
             loss.backward()
-            if self.cfg.grad_clip is not None:
-                self.opt.clip_gradients(self.cfg.grad_clip)
             self.opt.step(lr)
             wall = (time.perf_counter() - t0) * 1e3
             value = float(loss.data)
@@ -233,11 +213,13 @@ class Trainer:
 # -- checkpointing ---------------------------------------------------------------
 
 
-def save_checkpoint(path, trainer: Trainer, run_config: dict | None = None) -> None:
+def save_checkpoint(path, trainer: Trainer, run_config: dict) -> None:
     """Weights, prompt modifiers, optimizer moments and training position.
 
     The frozen prompt text is not stored: the run config's encoder rebuilds it.
     """
+    from .config import config_hash
+
     tensors = {}
     for name, p in trainer.model.weights.items():
         tensors[f"weights/{name}"] = p.data
@@ -252,14 +234,9 @@ def save_checkpoint(path, trainer: Trainer, run_config: dict | None = None) -> N
         "epoch": trainer.epoch,
         "epoch_step": trainer.epoch_step,
         "opt_step": trainer.opt.step_count,
-        "seed": trainer.seed,
-        "train_config": asdict(trainer.cfg),
-        "run_config": run_config or {},
+        "run_config": run_config,
+        "config_hash": config_hash(run_config),
     }
-    if run_config:
-        from .config import config_hash
-
-        meta["config_hash"] = config_hash(run_config)
     write_container(path, tensors, meta)
 
 
@@ -283,10 +260,7 @@ def _checkpoint_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def restore_model(model, bank, tensors: dict) -> None:
-    """Install checkpoint weights and prompt modifiers (shared by train and infer).
-
-    ``prompt_frozen/*`` tensors in checkpoints of earlier versions are ignored.
-    """
+    """Install checkpoint weights and prompt modifiers (shared by train and infer)."""
     for name, p in model.weights.items():
         p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape).astype(p.data.dtype)
     if bank is not None:
@@ -310,62 +284,3 @@ def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
     opt.step_count = meta["opt_step"]
     trainer.epoch = meta["epoch"]
     trainer.epoch_step = meta["epoch_step"]
-
-
-# -- gradient verification ---------------------------------------------------------
-
-
-def gradient_check(
-    build_loss,
-    params: dict,
-    *,
-    step: float = 1e-5,
-    rtol: float = 1e-4,
-    atol: float = 1e-8,
-    max_entries: int | None = None,
-    seed: int = 0,
-) -> dict:
-    """Compare reverse-mode gradients against central finite differences.
-
-    ``build_loss`` must rebuild the forward graph from the current parameter
-    values. For each tensor, up to ``max_entries`` entries (all, when None)
-    are perturbed by +-step. Returns {name: (max_abs_diff, max_ref)} and
-    raises NumericsError when any entry violates atol + rtol * |grad|.
-    """
-    for p in params.values():
-        p.grad = None
-    loss = build_loss()
-    loss.backward()
-    analytic = {}
-    for name, p in params.items():
-        if p.grad is None:
-            raise NumericsError(f"parameter {name!r} received no gradient")
-        analytic[name] = p.grad.copy()
-
-    rng = np.random.default_rng(seed)
-    report = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            idxs = rng.choice(flat.size, size=max_entries, replace=False)
-        worst = (0.0, 0.0)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(build_loss().data)
-            flat[i] = orig - step
-            lo = float(build_loss().data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a = float(analytic[name].reshape(-1)[i])
-            diff = abs(a - numeric)
-            if diff > worst[0]:
-                worst = (diff, max(abs(a), abs(numeric)))
-            if diff > atol + rtol * max(abs(a), abs(numeric)):
-                raise NumericsError(
-                    f"gradient mismatch for {name!r}[{i}]: "
-                    f"analytic={a:.3e} numeric={numeric:.3e}"
-                )
-        report[name] = worst
-    return report

@@ -41,13 +41,13 @@ from posediff.sampler import (
 from posediff.training import (
     Trainer,
     TrainConfig,
-    gradient_check,
     mse_loss,
     read_checkpoint,
     restore_model,
     save_checkpoint,
 )
 
+from gradcheck import gradient_check
 from test_metrics import random_rotation
 from test_sampler import CAM, brute_force_jpma, random_positive_depth_hyps
 
@@ -57,7 +57,7 @@ def report(criterion, detail):
 
 
 def test_01_diffusion_round_trip():
-    sched = build_schedule(1000, "cosine")
+    sched = build_schedule(1000)
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     worst = 0.0
@@ -76,7 +76,7 @@ def test_01_diffusion_round_trip():
 
 
 def test_02_ddim_fixed_point():
-    sched = build_schedule(1000, "cosine")
+    sched = build_schedule(1000)
     rng = np.random.default_rng(1)
     y_true = rng.standard_normal((6, 17, 3))
     hyp = sample_initial_hypotheses(3, 6, 17, seed=2)
@@ -90,7 +90,7 @@ def test_02_ddim_fixed_point():
 
 
 def test_03_forward_process_moments():
-    sched = build_schedule(100, "cosine")
+    sched = build_schedule(100)
     t = 60
     y0 = np.array([[[0.8, -0.4, 1.5]]])
     n = 10_000
@@ -184,7 +184,7 @@ def test_07_prompt_structure():
     model = Denoiser.create(dcfg, seed=11)
     small_bank = PromptBank(spec, HashTextEncoder(8, seed=12), seed=13)
     trainer = Trainer(
-        model, small_bank, build_schedule(50, "cosine"),
+        model, small_bank, build_schedule(50),
         TrainConfig(epochs=1, batch_size=2, lr0=1e-3, lr_decay=1.0, weight_decay=0.0),
         seed=14,
     )

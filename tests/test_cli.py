@@ -95,6 +95,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset("huge")
 
+    def test_readme_schema_is_the_default_config(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as f:
+            section = f.read().split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == default_config()
+
     def test_file_encoder_runtime(self, tmp_path):
         from posediff.config import build_runtime
 
@@ -232,6 +240,15 @@ class TestTrainCommand:
         assert main(args + ["--resume", "--steps", "2"]) == 1
         assert key in capsys.readouterr().err
 
+    def test_resume_rejects_empty_run_config(self, tmp_path, capsys):
+        args, last = self.one_step_run(tmp_path)
+        tensors, meta = read_container(last)
+        meta["run_config"] = {}
+        write_container(last, tensors, meta)
+        capsys.readouterr()
+        assert main(args + ["--resume", "--steps", "2"]) == 1
+        assert "different config" in capsys.readouterr().err
+
     def test_action_missing_from_embeddings_file(self, tmp_path, capsys):
         data = tmp_path / "d.ptc"
         save_dataset(data, synth_generate(1, 8, 17, seed=2, motion_kind="walk_cycle"))
@@ -305,6 +322,28 @@ class TestEstimateCommand:
                      "--data", str(workspace["data"]), "--out", str(out),
                      "--hypotheses", "1", "--iterations", "1"]) == 1
         assert "POSEDIFF_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model.heads", None), ("schedule.T", None), ("sample.deterministic", None),
+         ("schedule.kind", "cosine"), ("train.bogus", 1)],
+    )
+    def test_stored_config_off_schema_is_config_error(self, workspace, tmp_path, capsys,
+                                                      key, value):
+        tensors, meta = read_container(workspace["ckpt"])
+        section, name = key.split(".")
+        if value is None:
+            del meta["run_config"][section][name]
+        else:
+            meta["run_config"][section][name] = value
+        ckpt = tmp_path / "ckpt.ptc"
+        write_container(ckpt, tensors, meta)
+        capsys.readouterr()
+        out = tmp_path / "p.ptc"
+        assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                     "--out", str(out), "--hypotheses", "1", "--iterations", "1"]) == 1
+        assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("characters", [1, 2])
@@ -436,6 +475,22 @@ class TestEvalCommand:
         rigid = overall_p_mpjpe(True, [])
         assert similarity < 1e-6 and rigid > 1.0
         assert overall_p_mpjpe(False, ["--rigid-only"]) == rigid
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [(["tiny"], "config"), ({"sample": [False]}, "sample"),
+         ({"sample": {"rigid_only": "no"}}, "sample.rigid_only")],
+        ids=["config", "sample", "rigid_only"],
+    )
+    def test_malformed_predictions_config_is_config_error(self, workspace, tmp_path, capsys,
+                                                          config, field):
+        tensors = {f"pred/{rec.seq_id}/poses": rec.gt_3d for rec in load_dataset(workspace["data"])}
+        pred = tmp_path / "pred.ptc"
+        write_container(pred, tensors, meta={"kind": "predictions", "config": config})
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert repr(field) in capsys.readouterr().err
 
     def test_pairing_error_lists_orphans(self, workspace, tmp_path):
         pred = tmp_path / "orphan.ptc"

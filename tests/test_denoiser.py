@@ -112,9 +112,7 @@ class TestEmbedInput:
     def test_pooled_shift_is_uniform(self, setup):
         _, model, _, prompt, yt, x = setup
         z1 = model.embed_input(yt, x, 5, prompt).data
-        doubled = type(prompt)(
-            tokens=prompt.tokens, pooled=prompt.pooled * 2.0, spec=prompt.spec
-        )
+        doubled = type(prompt)(tokens=prompt.tokens, pooled=prompt.pooled * 2.0)
         z2 = model.embed_input(yt, x, 5, doubled).data
         delta = z2 - z1
         np.testing.assert_allclose(delta, np.broadcast_to(delta[0, 0], delta.shape), atol=1e-12)

@@ -76,7 +76,7 @@ class TestSampleInitialHypotheses:
 
 class TestDdimLoop:
     def test_m1_single_denoise_at_T(self):
-        sched = build_schedule(100, "cosine")
+        sched = build_schedule(100)
         calls = []
 
         def fn(y, x, t):
@@ -89,7 +89,7 @@ class TestDdimLoop:
         np.testing.assert_array_equal(out.hypotheses[0], hyp.hypotheses[0] * 0.5)
 
     def test_call_count_h20_m10(self):
-        sched = build_schedule(1000, "cosine")
+        sched = build_schedule(1000)
         calls = []
 
         def fn(y, x, t):
@@ -104,7 +104,7 @@ class TestDdimLoop:
         assert calls[:10] == want
 
     def test_oracle_returns_fixed_point(self):
-        sched = build_schedule(1000, "cosine")
+        sched = build_schedule(1000)
         rng = np.random.default_rng(4)
         y_star = rng.standard_normal((3, 4, 3))
         hyp = sample_initial_hypotheses(4, 3, 4, seed=1)
@@ -113,7 +113,7 @@ class TestDdimLoop:
             np.testing.assert_allclose(out.hypotheses[h], y_star, atol=1e-8)
 
     def test_stochastic_reproducible(self):
-        sched = build_schedule(50, "cosine")
+        sched = build_schedule(50)
         fn = lambda y, x, t: y * 0.9
         hyp = sample_initial_hypotheses(2, 2, 2, seed=5)
         x = np.zeros((2, 2, 2))
@@ -240,14 +240,14 @@ class TestEstimateSingle:
 
     def test_h1_m1_is_one_denoise_call(self):
         target, x = self.make_inputs()
-        sched = build_schedule(100, "cosine")
+        sched = build_schedule(100)
         fn = FakeDenoiser(target)
         estimate_single(x, CAM, fn, sched, H=1, M=1, seed=0)
         assert fn.calls == 1
 
     def test_seed_determinism(self):
         target, x = self.make_inputs()
-        sched = build_schedule(100, "cosine")
+        sched = build_schedule(100)
         a = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
         b = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
         assert np.array_equal(a.poses, b.poses)
@@ -255,7 +255,7 @@ class TestEstimateSingle:
 
     def test_aggregated_error_dominates(self):
         target, x = self.make_inputs(3)
-        sched = build_schedule(100, "cosine")
+        sched = build_schedule(100)
         res = estimate_single(x, CAM, FakeDenoiser(target), sched, H=5, M=2, seed=1)
         agg = np.linalg.norm(reproject(res.poses, CAM) - x, axis=-1).sum(axis=0)
         for h in range(5):
@@ -264,7 +264,7 @@ class TestEstimateSingle:
 
     def test_to_camera_transform_applies(self):
         target, x = self.make_inputs(4)
-        sched = build_schedule(100, "cosine")
+        sched = build_schedule(100)
         shift = np.array([0.0, 0.0, 10.0])
         res = estimate_single(
             x, CAM, FakeDenoiser(target - shift), sched, H=2, M=1, seed=0,

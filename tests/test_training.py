@@ -10,13 +10,14 @@ from posediff.training import (
     AdamW,
     Trainer,
     TrainConfig,
-    gradient_check,
     lr_schedule,
     mse_loss,
     read_checkpoint,
     restore_trainer,
     save_checkpoint,
 )
+
+from gradcheck import gradient_check
 
 TINY = DenoiserConfig(n_frames=2, n_joints=3, feature_dim=8, heads=2)
 
@@ -28,7 +29,7 @@ def make_trainer(seed=0, cfg=None, dcfg=TINY, lr0=1e-3):
         if dcfg.use_fpp
         else None
     )
-    sched = build_schedule(40, "cosine")
+    sched = build_schedule(40)
     cfg = cfg or TrainConfig(epochs=2, batch_size=2, lr0=lr0, lr_decay=1.0, weight_decay=0.0)
     return Trainer(model, bank, sched, cfg, seed=seed)
 
@@ -116,13 +117,6 @@ class TestAdamW:
         opt = AdamW({"p": p}, TrainConfig())
         with pytest.raises(NumericsError):
             opt.step(0.1)
-
-    def test_clip_gradients(self):
-        p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-        p.grad = np.array([3.0, 4.0])
-        opt = AdamW({"p": p}, TrainConfig())
-        opt.clip_gradients(1.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGradientCheck:
