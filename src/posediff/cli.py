@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import build_runtime, config_hash, load_config
+from .config import build_runtime, config_hash, load_config, validate_config
 from .container import read_container, write_container
 from .data import (
     denormalize_poses,
@@ -36,7 +36,6 @@ from .training import (
     StepLog,
     Trainer,
     read_checkpoint,
-    restore_model,
     restore_trainer,
     save_checkpoint,
 )
@@ -137,6 +136,12 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         if not os.path.exists(last_path):
             raise ConfigError(f"--resume set but {last_path} does not exist")
         tensors, meta = read_checkpoint(last_path)
+        try:
+            validate_config(meta["run_config"])
+        except ConfigError as e:
+            raise ConfigError(
+                f"checkpoint was trained with a different config, one off the schema: {e}"
+            ) from None
         if config_hash(meta["run_config"]) != runtime.hash:
             raise ConfigError(
                 "checkpoint was trained with a different config "
@@ -174,10 +179,10 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
 
 
 def _load_model(checkpoint_path):
-    tensors, meta = read_checkpoint(checkpoint_path)
-    runtime = build_runtime(meta["run_config"])
-    restore_model(runtime.model, runtime.bank, tensors)
-    return runtime
+    """The runtime of a checkpoint, built from its weights and prompt modifiers
+    (its optimizer moments are not read)."""
+    tensors, meta = read_checkpoint(checkpoint_path, prefixes=("weights/", "prompt/"))
+    return build_runtime(meta["run_config"], tensors)
 
 
 def _estimate_record(rec, runtime, H, M, base_seed, per_frame):

@@ -15,13 +15,15 @@ import json
 
 import numpy as np
 
-from .denoiser import Denoiser, DenoiserConfig
+from .denoiser import Denoiser, DenoiserConfig, weight_shapes
 from .diffusion import build_schedule
 from .exceptions import ConfigError
 from .prompts import HashTextEncoder, PrecomputedTextEncoder, PromptBank, PromptSpec
-from .training import TrainConfig
+from .training import TrainConfig, checkpoint_weights, restore_modifiers
 
-__all__ = ["default_config", "preset", "load_config", "config_hash", "build_runtime"]
+__all__ = [
+    "default_config", "preset", "load_config", "validate_config", "config_hash", "build_runtime"
+]
 
 DEFAULTS = {
     "seed": 0,
@@ -68,9 +70,13 @@ PRESETS = {
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
+# keys whose default is null, and the type a value set there takes
+_NULLABLE = {"prompt.embeddings_file": str, "train.max_steps": int}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
 
 def _merge(base: dict, override: dict) -> dict:
-    """Deep overlay of ``override`` on ``base``; ``_validate`` judges the result."""
+    """Deep overlay of ``override`` on ``base``; ``validate_config`` judges the result."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if isinstance(out.get(key), dict) and isinstance(value, dict):
@@ -106,12 +112,13 @@ def load_config(path=None, preset_name: str | None = None, overrides: dict | Non
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
 def _schema_errors(cfg, schema: dict, path: str = "") -> list:
-    """Where ``cfg`` leaves ``schema``: each missing or unknown key, by dotted path."""
+    """Where ``cfg`` leaves ``schema``: each missing or unknown key, and each
+    value whose JSON type differs from its default's, by dotted path."""
     if not isinstance(cfg, dict):
         return [f"config section {path or 'root'!r} must be an object"]
     errors = []
@@ -123,11 +130,29 @@ def _schema_errors(cfg, schema: dict, path: str = "") -> list:
             errors.append(f"missing config key {where!r}")
         elif isinstance(schema[key], dict):
             errors += _schema_errors(cfg[key], schema[key], where)
+        else:
+            errors += _type_errors(cfg[key], schema[key], where)
     return errors
 
 
-def _validate(cfg: dict):
-    """The one judge of a config: exactly the keys of DEFAULTS, then the values."""
+def _type_errors(value, default, where: str) -> list:
+    """A bool is not a number; an int stands in for a float default."""
+    if where in _NULLABLE:
+        if value is None:
+            return []
+        kind = _NULLABLE[where]
+    else:
+        kind = type(default)
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, kinds) and (kind is bool or not isinstance(value, bool)):
+        return []
+    name = _TYPE_NAMES[kind] + (" or null" if where in _NULLABLE else "")
+    return [f"config key {where!r} must be {name}, got {value!r}"]
+
+
+def validate_config(cfg: dict):
+    """The one judge of a config: exactly the keys of DEFAULTS, each value of
+    its default's JSON type, then the values themselves."""
     errors = _schema_errors(cfg, DEFAULTS)
     if errors:
         raise ConfigError("; ".join(errors))
@@ -149,10 +174,14 @@ def config_hash(cfg: dict) -> str:
 
 
 class Runtime:
-    """Everything a command needs, assembled from one validated config."""
+    """Everything a command needs, assembled from one validated config.
 
-    def __init__(self, cfg: dict):
-        _validate(cfg)
+    With ``checkpoint`` (a checkpoint's tensors), the denoiser weights and
+    prompt modifiers are the checkpoint's; otherwise they are seeded.
+    """
+
+    def __init__(self, cfg: dict, checkpoint: dict | None = None):
+        validate_config(cfg)
         self.cfg = cfg
         self.hash = config_hash(cfg)
         self.dtype = _DTYPES[cfg["dtype"]]
@@ -161,7 +190,13 @@ class Runtime:
         self.model_config = DenoiserConfig(
             n_frames=cfg["data"]["n_frames"], n_joints=cfg["data"]["n_joints"], **m
         )
-        self.model = Denoiser.create(self.model_config, seed=cfg["seed"], dtype=self.dtype)
+        if checkpoint is None:
+            self.model = Denoiser.create(self.model_config, seed=cfg["seed"], dtype=self.dtype)
+        else:
+            shapes = weight_shapes(self.model_config)
+            self.model = Denoiser(
+                self.model_config, checkpoint_weights(checkpoint, shapes, self.dtype)
+            )
         self.bank = None
         if m["use_fpp"]:
             p = cfg["prompt"]
@@ -176,6 +211,8 @@ class Runtime:
             self.bank = PromptBank(
                 PromptSpec(), encoder, seed=cfg["seed"], dtype=self.dtype
             )
+            if checkpoint is not None:
+                restore_modifiers(self.bank, checkpoint)
         self.train_config = TrainConfig(**cfg["train"])
 
     def prompt_for(self, action: str | None):
@@ -184,5 +221,5 @@ class Runtime:
         return self.bank.assemble(action)
 
 
-def build_runtime(cfg: dict) -> Runtime:
-    return Runtime(cfg)
+def build_runtime(cfg: dict, checkpoint: dict | None = None) -> Runtime:
+    return Runtime(cfg, checkpoint)

@@ -8,7 +8,9 @@ carry an arbitrary JSON ``meta`` block.
 
 Writing is deterministic (names sorted, compact JSON, no timestamps) and
 atomic (temp file + rename), so identical inputs produce byte-identical
-files and concurrent readers never observe partial writes.
+files and concurrent readers never observe partial writes. Reads and writes
+stream each tensor between the file and its own array, so neither holds a
+second copy of the tensors.
 """
 
 from __future__ import annotations
@@ -39,22 +41,26 @@ def _dtype_code(arr: np.ndarray) -> str:
 
 
 def write_container(path, tensors: dict, meta: dict | None = None) -> None:
-    """Write name->ndarray map plus optional JSON metadata to `path`."""
+    """Write name->ndarray map plus optional JSON metadata to `path`.
+
+    Each contiguous little-endian array's own buffer goes to the file, so the
+    write holds no second copy of the tensors.
+    """
     index = {}
-    chunks = []
+    arrays = []
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
         code = _dtype_code(arr)
-        raw = arr.astype(_DTYPES[code], copy=False).tobytes()
+        arr = arr.astype(_DTYPES[code], copy=False)
         index[name] = {
             "dtype": code,
             "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": arr.nbytes,
         }
-        chunks.append(raw)
-        offset += len(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
 
     manifest = {
         "version": FORMAT_VERSION,
@@ -74,8 +80,8 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
             f.write(MAGIC)
             f.write(len(payload).to_bytes(4, "little"))
             f.write(payload)
-            for raw in chunks:
-                f.write(raw)
+            for arr in arrays:
+                f.write(_bytes_view(arr))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,8 +89,13 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
         raise
 
 
-def read_container(path) -> tuple[dict, dict]:
-    """Read a container; returns (tensors, meta). Unknown names are preserved."""
+def read_container(path, prefixes: tuple | None = None) -> tuple[dict, dict]:
+    """Read a container; returns (tensors, meta). Unknown names are preserved.
+
+    Every manifest entry is checked against the file size before anything is
+    allocated; then each tensor is read straight into its own array. With
+    ``prefixes``, only tensors whose names start with one of them are read.
+    """
     path = os.fspath(path)
     try:
         f = open(path, "rb")
@@ -102,40 +113,58 @@ def read_container(path) -> tuple[dict, dict]:
             manifest = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"{path}: corrupt manifest: {e}") from e
-        blob = f.read()
+        blob_start = 8 + man_len
+        blob_len = os.fstat(f.fileno()).st_size - blob_start
 
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", {}), dict):
-        raise ConfigError(f"{path}: manifest and its tensors must be JSON objects")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise ConfigError(f"{path}: unknown container version {manifest.get('version')!r}")
-    meta = manifest.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{path}: manifest meta must be a JSON object")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", {}), dict):
+            raise ConfigError(f"{path}: manifest and its tensors must be JSON objects")
+        if manifest.get("version") != FORMAT_VERSION:
+            raise ConfigError(f"{path}: unknown container version {manifest.get('version')!r}")
+        meta = manifest.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}: manifest meta must be a JSON object")
 
-    tensors = {}
-    for name, info in manifest.get("tensors", {}).items():
-        if not _valid_entry(info):
-            raise ConfigError(
-                f"{path}: tensor {name!r} needs dtype (one of {sorted(_DTYPES)}), shape "
-                f"(non-negative ints), offset and nbytes (ints); got {info!r}"
-            )
-        dtype = _DTYPES[info["dtype"]]
-        shape = tuple(info["shape"])
-        offset, nbytes = info["offset"], info["nbytes"]
-        if offset < 0 or offset + nbytes > len(blob):
-            raise ConfigError(
-                f"{path}: tensor {name!r} byte range [{offset}, {offset + nbytes}) "
-                f"outside blob of {len(blob)} bytes"
-            )
-        expected = math.prod(shape) * dtype.itemsize
-        if expected != nbytes:
-            raise ConfigError(
-                f"{path}: tensor {name!r} shape {shape} needs {expected} bytes, "
-                f"manifest declares {nbytes}"
-            )
-        arr = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize, offset=offset)
-        tensors[name] = arr.reshape(shape).copy()
+        entries = manifest.get("tensors", {})
+        for name, info in entries.items():
+            _check_entry(path, name, info, blob_len)
+        tensors = {}
+        for name, info in entries.items():
+            if prefixes is not None and not name.startswith(prefixes):
+                continue
+            try:
+                arr = np.empty(info["shape"], dtype=_DTYPES[info["dtype"]])
+            except ValueError as e:  # a zero-size shape numpy cannot index
+                raise ConfigError(f"{path}: tensor {name!r}: {e}") from e
+            f.seek(blob_start + info["offset"])
+            if f.readinto(_bytes_view(arr)) != arr.nbytes:
+                raise ConfigError(f"{path}: tensor {name!r} is truncated")
+            tensors[name] = arr
     return tensors, meta
+
+
+def _check_entry(path, name, info, blob_len) -> None:
+    if not _valid_entry(info):
+        raise ConfigError(
+            f"{path}: tensor {name!r} needs dtype (one of {sorted(_DTYPES)}), shape "
+            f"(non-negative ints), offset and nbytes (ints); got {info!r}"
+        )
+    offset, nbytes = info["offset"], info["nbytes"]
+    if offset < 0 or offset + nbytes > blob_len:
+        raise ConfigError(
+            f"{path}: tensor {name!r} byte range [{offset}, {offset + nbytes}) "
+            f"outside blob of {blob_len} bytes"
+        )
+    expected = math.prod(info["shape"]) * _DTYPES[info["dtype"]].itemsize
+    if expected != nbytes:
+        raise ConfigError(
+            f"{path}: tensor {name!r} shape {tuple(info['shape'])} needs {expected} bytes, "
+            f"manifest declares {nbytes}"
+        )
+
+
+def _bytes_view(arr: np.ndarray) -> np.ndarray:
+    """The raw bytes of a C-contiguous array, as a flat uint8 view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
 
 
 def _is_int(v) -> bool:

@@ -29,6 +29,8 @@ __all__ = [
     "Trainer",
     "save_checkpoint",
     "read_checkpoint",
+    "checkpoint_weights",
+    "restore_modifiers",
     "restore_model",
     "restore_trainer",
 ]
@@ -240,8 +242,9 @@ def save_checkpoint(path, trainer: Trainer, run_config: dict) -> None:
     write_container(path, tensors, meta)
 
 
-def read_checkpoint(path) -> tuple[dict, dict]:
-    tensors, meta = read_container(path)
+def read_checkpoint(path, prefixes: tuple | None = None) -> tuple[dict, dict]:
+    """A checkpoint's tensors (only those under ``prefixes``, if given) and meta."""
+    tensors, meta = read_container(path, prefixes)
     if meta.get("kind") != "checkpoint":
         raise ConfigError(f"{path}: not a checkpoint (kind={meta.get('kind')!r})")
     if not isinstance(meta.get("run_config"), dict):
@@ -249,24 +252,37 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     return tensors, meta
 
 
-def _checkpoint_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
+def _checkpoint_tensor(tensors: dict, key: str, shape: tuple, dtype) -> np.ndarray:
     if key not in tensors:
         raise ConfigError(f"checkpoint is missing tensor {key!r}")
     if tensors[key].shape != shape:
         raise ConfigError(
             f"checkpoint tensor {key!r} has shape {tensors[key].shape}, model expects {shape}"
         )
-    return tensors[key]
+    return tensors[key].astype(dtype, copy=False)
+
+
+def checkpoint_weights(tensors: dict, shapes: dict, dtype) -> dict:
+    """The checkpoint's ``weights/<name>`` for each name -> shape of ``shapes``."""
+    return {
+        name: _checkpoint_tensor(tensors, f"weights/{name}", shape, dtype)
+        for name, shape in shapes.items()
+    }
+
+
+def restore_modifiers(bank, tensors: dict) -> None:
+    """Install the checkpoint's learnable prompt modifiers into ``bank``."""
+    for k, mod in enumerate(bank.modifiers):
+        key = f"prompt/{k}/modifier"
+        mod.data = _checkpoint_tensor(tensors, key, mod.data.shape, mod.data.dtype)
 
 
 def restore_model(model, bank, tensors: dict) -> None:
-    """Install checkpoint weights and prompt modifiers (shared by train and infer)."""
+    """Install checkpoint weights and prompt modifiers into a built model."""
     for name, p in model.weights.items():
-        p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape).astype(p.data.dtype)
+        p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape, p.data.dtype)
     if bank is not None:
-        for k, mod in enumerate(bank.modifiers):
-            key = f"prompt/{k}/modifier"
-            mod.data = _checkpoint_tensor(tensors, key, mod.data.shape).astype(mod.data.dtype)
+        restore_modifiers(bank, tensors)
 
 
 def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
@@ -279,8 +295,9 @@ def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
     opt = trainer.opt
     for name in opt.params:
         for moments, key in ((opt.m, f"opt/m/{name}"), (opt.v, f"opt/v/{name}")):
-            stored = _checkpoint_tensor(tensors, key, moments[name].shape)
-            moments[name] = stored.astype(moments[name].dtype)
+            moments[name] = _checkpoint_tensor(
+                tensors, key, moments[name].shape, moments[name].dtype
+            )
     opt.step_count = meta["opt_step"]
     trainer.epoch = meta["epoch"]
     trainer.epoch_step = meta["epoch_step"]

@@ -1,7 +1,9 @@
 import csv
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,41 @@ class TestConfig:
         path.write_text(json.dumps({"train": {"lr": 1.0}}))
         with pytest.raises(ConfigError, match="train.lr"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [({"sample": {"deterministic": "no"}}, "sample.deterministic"),
+         ({"model": {"heads": "4"}}, "model.heads"),
+         ({"model": {"heads": 4.0}}, "model.heads"),
+         ({"model": {"use_fpc": 1}}, "model.use_fpc"),
+         ({"train": {"lr0": True}}, "train.lr0"),
+         ({"train": {"max_steps": "10"}}, "train.max_steps"),
+         ({"prompt": {"embeddings_file": 3}}, "prompt.embeddings_file"),
+         ({"dtype": None}, "dtype"),
+         ({"seed": False}, "seed")],
+    )
+    def test_value_of_wrong_json_type_rejected(self, tmp_path, override, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(override))
+        with pytest.raises(ConfigError, match=f"'{re.escape(key)}' must be"):
+            load_config(path)
+
+    def test_value_types_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({
+            "train": {"lr0": 1, "max_steps": 5},
+            "prompt": {"encoder": "file", "embeddings_file": "emb.ptc"},
+        }))
+        cfg = load_config(path)
+        assert cfg["train"]["lr0"] == 1 and cfg["train"]["max_steps"] == 5
+        assert load_config()["train"]["max_steps"] is None
+
+    def test_wrong_type_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {"heads": "4"}}))
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data",
+                     str(tmp_path / "d.ptc"), "--out", str(tmp_path / "run")]) == 1
+        assert "'model.heads'" in capsys.readouterr().err
 
     def test_hash_stable_and_sensitive(self):
         a, b = default_config(), default_config()
@@ -247,7 +284,24 @@ class TestTrainCommand:
         write_container(last, tensors, meta)
         capsys.readouterr()
         assert main(args + ["--resume", "--steps", "2"]) == 1
-        assert "different config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "different config" in err and "missing config key 'model'" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("model.heads", None), ("schedule.kind", "cosine"), ("train.bogus", 1)]
+    )
+    def test_resume_names_off_schema_stored_keys(self, tmp_path, capsys, key, value):
+        args, last = self.one_step_run(tmp_path)
+        tensors, meta = read_container(last)
+        section, name = key.split(".")
+        if value is None:
+            del meta["run_config"][section][name]
+        else:
+            meta["run_config"][section][name] = value
+        write_container(last, tensors, meta)
+        capsys.readouterr()
+        assert main(args + ["--resume", "--steps", "2"]) == 1
+        assert repr(key) in capsys.readouterr().err
 
     def test_action_missing_from_embeddings_file(self, tmp_path, capsys):
         data = tmp_path / "d.ptc"
@@ -345,6 +399,75 @@ class TestEstimateCommand:
                      "--out", str(out), "--hypotheses", "1", "--iterations", "1"]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_load_model_draws_no_seeded_weights(self, workspace, monkeypatch):
+        from posediff import denoiser
+        from posediff.cli import _load_model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_denoiser_weights called")
+
+        monkeypatch.setattr(denoiser, "init_denoiser_weights", refuse)
+        runtime = _load_model(workspace["ckpt"])
+        trained = workspace["trainer"].model.weights
+        for name, w in runtime.model.weights.items():
+            assert np.array_equal(w.data, trained[name].data)
+
+    def test_load_model_reads_no_optimizer_moments(self, workspace, monkeypatch):
+        from posediff import training
+        from posediff.cli import _load_model
+
+        read = []
+
+        def spy(*args, **kwargs):
+            tensors, meta = read_container(*args, **kwargs)
+            read.extend(tensors)
+            return tensors, meta
+
+        monkeypatch.setattr(training, "read_container", spy)
+        _load_model(workspace["ckpt"])
+        assert read and not [k for k in read if k.startswith("opt/")]
+        assert {k.split("/")[0] for k in read} == {"weights", "prompt"}
+
+    def test_outputs_match_seeded_then_restored_model(self, workspace, tmp_path, monkeypatch):
+        """Estimate and eval bytes equal those of a model built seeded, then
+        overwritten with every checkpoint tensor."""
+        from posediff import cli
+        from posediff.config import build_runtime
+        from posediff.training import read_checkpoint, restore_model
+
+        def seeded_then_restored(path):
+            tensors, meta = read_checkpoint(path)
+            runtime = build_runtime(meta["run_config"])
+            restore_model(runtime.model, runtime.bank, tensors)
+            return runtime
+
+        outputs = []
+        for name in ("checkpoint", "restored"):
+            if name == "restored":
+                monkeypatch.setattr(cli, "_load_model", seeded_then_restored)
+            pred = run_estimate(workspace["ckpt"], workspace["data"], tmp_path / f"{name}.ptc",
+                                hypotheses=2, iterations=2, seed=4)
+            report, per_joint, _ = run_eval(pred, workspace["data"], tmp_path / name)
+            outputs.append([Path(p).read_bytes() for p in (pred, report, per_joint)])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == Path(workspace["pred"]).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    def test_bad_checkpoint_weight_is_config_error(self, workspace, tmp_path, capsys, damage):
+        tensors, meta = read_container(workspace["ckpt"])
+        key = "weights/head/w"
+        if damage == "missing":
+            del tensors[key]
+        else:
+            tensors[key] = tensors[key][:-1]
+        ckpt = tmp_path / "ckpt.ptc"
+        write_container(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "p.ptc"), "--hypotheses", "1",
+                     "--iterations", "1"]) == 1
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("characters", [1, 2])
     def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,34 @@ def rewrite_manifest(path, keys, value):
         manifest = value
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(b"PTC1" + len(payload).to_bytes(4, "little") + payload + raw[8 + man_len :])
+
+
+def tobytes_encoding(tensors, meta=None):
+    """The container bytes built the plain way: a ``tobytes()`` copy per tensor."""
+    index, chunks, offset = {}, [], 0
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+        code = {np.float32: "f4", np.float64: "f8"}[arr.dtype.type]
+        index[name] = {"dtype": code, "shape": list(arr.shape), "offset": offset,
+                       "nbytes": len(raw)}
+        chunks.append(raw)
+        offset += len(raw)
+    manifest = {"version": 1, "endianness": "little", "layout": "row-major",
+                "tensors": index, "meta": meta or {}}
+    payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return b"PTC1" + len(payload).to_bytes(4, "little") + payload + b"".join(chunks)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 MALFORMED_MANIFESTS = {
@@ -171,6 +200,79 @@ class TestContainer:
         p.write_bytes(b"NOPE....")
         with pytest.raises(ConfigError, match="not a PTC"):
             read_container(p)
+
+    def test_bytes_equal_tobytes_encoding(self, tmp_path):
+        rng = np.random.default_rng(3)
+        tensors = {
+            "f4": rng.standard_normal((3, 5)).astype(np.float32),
+            "f8": rng.standard_normal((2, 2, 2)),
+            "strided": rng.standard_normal((6, 8))[::2, 1::3],
+            "transposed": rng.standard_normal((4, 3)).astype(np.float32).T,
+            "scalar": np.float64(2.5),
+            "zero_d": np.array(-1.0, dtype=np.float32),
+            "empty": np.zeros((0, 4)),
+            "empty_f4": np.zeros((3, 0), dtype=np.float32),
+        }
+        path = tmp_path / "t.ptc"
+        write_container(path, tensors, meta={"kind": "x"})
+        assert path.read_bytes() == tobytes_encoding(tensors, {"kind": "x"})
+        got, _ = read_container(path)
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(got[name].reshape(np.shape(arr)), arr)
+
+    def test_read_holds_one_copy(self, tmp_path):
+        path = tmp_path / "t.ptc"
+        size = 8 << 20
+        write_container(path, {"x": np.ones(size // 4, dtype=np.float32)})
+        assert traced_peak(read_container, path) < 1.5 * size
+
+    def test_write_adds_no_copy(self, tmp_path):
+        size = 8 << 20
+        tensors = {"x": np.ones(size // 4, dtype=np.float32), "y": np.zeros(3)}
+        assert traced_peak(write_container, tmp_path / "t.ptc", tensors) < 0.5 * size
+
+    def test_read_arrays_own_separate_writeable_memory(self, tmp_path):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4),
+                               "c": np.zeros(2, dtype=np.float32), "d": np.zeros(0)})
+        got, _ = read_container(path)
+        for arr in got.values():
+            assert arr.flags.writeable and arr.flags.owndata and arr.base is None
+        names = sorted(got)
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                assert not np.shares_memory(got[a], got[b])
+
+    def test_tensor_larger_than_file_is_not_allocated(self, tmp_path):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"x": np.ones(4), "y": np.ones(2)})
+        rewrite_manifest(path, ("tensors", "y", "shape"), [1 << 28])
+        rewrite_manifest(path, ("tensors", "y", "nbytes"), 8 << 28)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="'y' byte range"):
+                read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_zero_size_shape_numpy_cannot_index_is_config_error(self, tmp_path):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"x": np.zeros(0)})
+        rewrite_manifest(path, ("tensors", "x", "shape"), [0, 1 << 70])
+        with pytest.raises(ConfigError, match="'x'"):
+            read_container(path)
+
+    def test_prefixes_select_tensors_and_check_every_entry(self, tmp_path):
+        path = tmp_path / "t.ptc"
+        write_container(path, {"weights/a": np.ones(2), "opt/m/a": np.zeros(2),
+                               "prompt/0": np.ones(3)})
+        got, _ = read_container(path, prefixes=("weights/", "prompt/"))
+        assert sorted(got) == ["prompt/0", "weights/a"]
+        rewrite_manifest(path, ("tensors", "opt/m/a", "offset"), 10_000)
+        with pytest.raises(ConfigError, match="opt/m/a"):
+            read_container(path, prefixes=("weights/",))
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "t.ptc"
