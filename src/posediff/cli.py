@@ -3,8 +3,10 @@
 Every command is deterministic under a fixed config and seed; rerunning
 produces byte-identical artifacts (the training log's wall-clock column
 excepted). Exit codes: 0 success, 1 user/config error, 2 internal invariant
-violation. ``POSEDIFF_THREADS`` caps worker parallelism during estimation;
-results are merged by index so the thread count never changes outputs.
+violation. During estimation each DDIM step denoises all hypotheses of a
+record in one call, which spreads the forwards of paper-size models over up
+to ``POSEDIFF_THREADS`` threads (default: usable CPUs // BLAS threads).
+Results are merged by index, so the thread count never changes outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,8 +48,28 @@ def _fmt(v: float) -> str:
     return f"{v:.9f}"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _worker_count() -> int:
-    raw = os.environ.get("POSEDIFF_THREADS", "1")
+    """Denoiser threads: ``POSEDIFF_THREADS``, else usable CPUs // BLAS threads.
+
+    BLAS threads come from the first of ``BLAS_THREAD_VARS`` holding a
+    positive integer, as OpenBLAS reads them; with none, BLAS takes every
+    core, so one worker keeps workers x BLAS threads within the cores.
+    """
+    raw = os.environ.get("POSEDIFF_THREADS")
+    if raw is None:
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        cpus = len(affinity(0)) if affinity else os.cpu_count()
+        for var in BLAS_THREAD_VARS:
+            try:
+                blas = int(os.environ.get(var, ""))
+            except ValueError:
+                continue
+            if blas >= 1:
+                return max(1, cpus // blas)
+        return 1
     try:
         workers = int(raw)
     except ValueError:
@@ -185,7 +206,7 @@ def _load_model(checkpoint_path):
     return build_runtime(meta["run_config"], tensors)
 
 
-def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
+def _estimate_record(rec, runtime, H, M, base_seed, per_frame, workers):
     cfg = runtime.cfg
     if (rec.n_frames, rec.n_joints) != (
         runtime.model_config.n_frames,
@@ -205,7 +226,7 @@ def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
     x_norm = norm.keypoints_2d.astype(runtime.dtype)
 
     def denoise_fn(yt, x, t):
-        return runtime.model.denoise_array(yt.astype(runtime.dtype), x, t, prompt)
+        return runtime.model.denoise_array(yt.astype(runtime.dtype), x, t, prompt, workers)
 
     return estimate_single(
         x_norm,
@@ -244,15 +265,10 @@ def run_estimate(
     records = load_dataset(data_path)
     if not records:
         raise ConfigError(f"dataset {data_path} holds no sequences")
-
-    def work(rec):
-        return _estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, records))
-    else:
-        results = [work(rec) for rec in records]
+    results = [
+        _estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame, workers)
+        for rec in records
+    ]
 
     tensors, cam_notes = {}, {}
     for rec, res in zip(records, results):

@@ -33,10 +33,9 @@ _DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
 
 
 def _dtype_code(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "f4"
-    if arr.dtype == np.float64:
-        return "f8"
+    """'f4' or 'f8' for a float32/float64 array of either byte order."""
+    if arr.dtype.kind == "f" and arr.dtype.itemsize in (4, 8):
+        return f"f{arr.dtype.itemsize}"
     raise ConfigError(f"container holds 32/64-bit floats only, got {arr.dtype}")
 
 
@@ -44,15 +43,18 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
     """Write name->ndarray map plus optional JSON metadata to `path`.
 
     Each contiguous little-endian array's own buffer goes to the file, so the
-    write holds no second copy of the tensors.
+    write holds no second copy of the tensors; other arrays (strided,
+    big-endian) are converted one at a time. Every tensor keeps its shape,
+    a 0-d one included.
     """
     index = {}
     arrays = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.asarray(tensors[name])
         code = _dtype_code(arr)
-        arr = arr.astype(_DTYPES[code], copy=False)
+        # ascontiguousarray makes a 0-d array 1-d; the reshape undoes that
+        arr = np.ascontiguousarray(arr, dtype=_DTYPES[code]).reshape(arr.shape)
         index[name] = {
             "dtype": code,
             "shape": list(arr.shape),

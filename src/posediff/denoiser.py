@@ -11,16 +11,22 @@ layers and preserve the N x J x D feature shape.
 The three conditioning stages can be disabled independently (ablation
 plumbing): ``use_fpp`` gates the prompt bank entirely, ``use_fpc`` the
 cross-attention, ``use_pts`` the stylization.
+
+Inference also takes a leading hypothesis axis: ``denoise`` runs each
+hypothesis's unchanged (N, J, .) forward and stacks the results. Forwards
+of paper size are spread over worker threads, whose GEMMs and large ufuncs
+release the interpreter lock; small ones run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gelu, layer_norm, linear, softmax
+from .autodiff import Tensor, _grad_enabled, concat, gelu, layer_norm, linear, no_grad, softmax
 from .exceptions import ConfigError, NumericsError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
@@ -29,6 +35,12 @@ __all__ = ["DenoiserConfig", "Denoiser", "init_denoiser_weights", "sinusoid_embe
 
 WEIGHT_STD = 0.02
 LN_EPS = 1e-5
+# Smallest forward (frames x joints x feature_dim) whose hypotheses are
+# spread over threads: 24x17x64, the smallest measured size at which 2
+# threads beat one in at least 9 of 10 pairs in every round (sweep in
+# CHANGES.md). Below it, the threads mostly wait for the interpreter lock;
+# tiny (16x17x64) sits below, paper (243x17x512) far above.
+PARALLEL_MIN_ELEMENTS = 26_112
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,8 @@ def sinusoid_embedding(t: float, dim: int) -> np.ndarray:
 class Denoiser:
     """Denoiser network over a named weight map.
 
-    Forward passes are pure functions of (inputs, weights): multiple
-    hypotheses may call ``denoise`` concurrently against one weight snapshot,
+    Forward passes are pure functions of (inputs, weights): the hypotheses
+    of one ``denoise`` call may run concurrently against one weight snapshot,
     while training mutates the weights between batches under exclusive access.
     """
 
@@ -302,8 +314,40 @@ class Denoiser:
 
     # -- full forward ----------------------------------------------------------
 
-    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None) -> Tensor:
-        """Full forward pass; returns the predicted clean pose as (N, J, 3)."""
+    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None, workers: int = 1) -> Tensor:
+        """Full forward pass; returns the predicted clean pose as (N, J, 3).
+
+        For inference only, ``yt`` may also be an (H, N, J, 3) hypothesis
+        stack; each hypothesis gets its own (N, J, 3) forward and the
+        predictions come back stacked in hypothesis order. When one forward
+        has at least ``PARALLEL_MIN_ELEMENTS`` frames x joints x feature_dim,
+        the hypotheses are spread over ``min(workers, H)`` threads; otherwise
+        they run in order on the calling thread. ``workers`` never changes
+        the result.
+        """
+        yt = np.asarray(yt)
+        if yt.ndim != 4:
+            return self._forward(yt, x, t, prompt)
+        if _grad_enabled():
+            raise ShapeError(
+                f"a hypothesis stack {yt.shape} is for inference only; denoise it under no_grad"
+            )
+        cfg = self.config
+        big = cfg.n_frames * cfg.n_joints * cfg.feature_dim >= PARALLEL_MIN_ELEMENTS
+        threads = min(workers, len(yt)) if big else 1
+
+        def forward(h):
+            with no_grad():  # grad mode is per thread
+                return self._forward(yt[h], x, t, prompt).data
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outs = list(pool.map(forward, range(len(yt))))
+        else:
+            outs = [forward(h) for h in range(len(yt))]
+        return Tensor(np.stack(outs))
+
+    def _forward(self, yt, x, t, prompt) -> Tensor:
         cfg = self.config
         f = self.embed_input(yt, x, t, prompt)
         for i in range(cfg.blocks_spatial):
@@ -318,12 +362,10 @@ class Denoiser:
         f = self.spatio_temporal_stack(f)
         return self.decode_head(f)
 
-    def denoise_array(self, yt, x, t, prompt=None) -> np.ndarray:
+    def denoise_array(self, yt, x, t, prompt=None, workers: int = 1) -> np.ndarray:
         """Inference convenience: no graph construction, plain ndarray out."""
-        from .autodiff import no_grad
-
         with no_grad():
-            return self.denoise(yt, x, t, prompt).data
+            return self.denoise(yt, x, t, prompt, workers).data
 
     def trainable(self) -> dict:
         return dict(self.weights)

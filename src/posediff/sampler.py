@@ -1,16 +1,18 @@
 """Multi-hypothesis DDIM inference and joint-wise reprojection aggregation.
 
-Inference draws H independent Gaussian pose hypotheses, refines each with M
-denoising iterations, reprojects the results to the image plane, and for
-every joint keeps the trajectory of the hypothesis whose reprojection lies
-closest to the observed 2D keypoints. Hypotheses never exchange information
-and run one after another; all merging is by index and deterministic. The
-characters of a multi-human scene are estimated as separate sequences, each
-with its own seed (``character_seed``) and presence mask (``frame_mask``).
+Inference draws H independent Gaussian pose hypotheses, refines them
+together with M denoising iterations, reprojects the results to the image
+plane, and for every joint keeps the trajectory of the hypothesis whose
+reprojection lies closest to the observed 2D keypoints. Hypotheses never
+exchange information: each DDIM step denoises the (H, N, J, 3) stack in one
+call, which refines every hypothesis on its own, and all merging is by index
+and deterministic. The characters of a multi-human scene are estimated as
+separate sequences, each with its own seed (``character_seed``) and presence
+mask (``frame_mask``).
 
-The denoiser enters as a plain callable ``denoise_fn(yt, x, t) -> y0_hat``
-with weights and prompt already bound, which keeps the loop testable against
-oracle models.
+The denoiser enters as a plain callable ``denoise_fn(Y, x, t) -> Y0_hat``
+over a hypothesis stack, with weights and prompt already bound, which keeps
+the loop testable against oracle models.
 """
 
 from __future__ import annotations
@@ -106,34 +108,32 @@ def ddim_loop(
 ) -> HypothesisSet:
     """Refine every hypothesis with M denoise/step iterations.
 
-    Iteration m denoises at the current timestamp (starting at T) and steps
-    to round(T*(1-m/M)); after the final denoise the predicted clean pose is
-    returned directly (stepping to timestamp 0 would reproduce it exactly).
-    Stochastic steps draw their noise from (``seed``, "ddim", h, m).
+    Iteration m denoises the whole (H, N, J, 3) stack in one ``denoise_fn``
+    call at the current timestamp (starting at T) and steps every hypothesis
+    to round(T*(1-m/M)); after the final denoise the predicted clean poses
+    are returned directly (stepping to timestamp 0 would reproduce them
+    exactly). Stochastic steps draw hypothesis h's noise from (``seed``,
+    "ddim", h, m).
     """
     if M < 1:
         raise ConfigError(f"iteration count must be >= 1, got {M}")
-    outs = []
-    for h in range(hyp.count):
-        y = hyp.hypotheses[h]
-        t_cur = sched.T
-        y0_hat = None
-        for m in range(1, M + 1):
-            y0_hat = np.asarray(denoise_fn(y, x, t_cur))
-            if y0_hat.shape != y.shape:
-                raise ShapeError(
-                    f"denoiser returned {y0_hat.shape}, expected {y.shape}"
-                )
-            if m == M:
-                break
-            t_next = timestamp_for_iteration(m, M, sched.T)
-            if t_next >= t_cur:  # rounding collision on very short schedules
-                continue
-            noise = None if deterministic else gaussian(y.shape, seed, "ddim", h, m)
-            y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise, deterministic)
-            t_cur = t_next
-        outs.append(y0_hat)
-    return HypothesisSet(np.stack(outs))
+    y = hyp.hypotheses
+    t_cur = sched.T
+    for m in range(1, M + 1):
+        y0_hat = np.asarray(denoise_fn(y, x, t_cur))
+        if y0_hat.shape != y.shape:
+            raise ShapeError(f"denoiser returned {y0_hat.shape}, expected {y.shape}")
+        if m == M:
+            break
+        t_next = timestamp_for_iteration(m, M, sched.T)
+        if t_next >= t_cur:  # rounding collision on very short schedules
+            continue
+        noise = None if deterministic else np.stack(
+            [gaussian(y.shape[1:], seed, "ddim", h, m) for h in range(hyp.count)]
+        )
+        y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise, deterministic)
+        t_cur = t_next
+    return HypothesisSet(y0_hat)
 
 
 def reproject(poses: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:

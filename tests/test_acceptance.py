@@ -81,7 +81,7 @@ def test_02_ddim_fixed_point():
     y_true = rng.standard_normal((6, 17, 3))
     hyp = sample_initial_hypotheses(3, 6, 17, seed=2)
     out = ddim_loop(
-        np.zeros((6, 17, 2)), hyp, 10, lambda y, x, t: y_true, sched, seed=2,
+        np.zeros((6, 17, 2)), hyp, 10, lambda y, x, t: np.stack([y_true] * len(y)), sched, seed=2,
         deterministic=True,
     )
     err = np.abs(out.hypotheses - y_true[None]).max()

@@ -3,11 +3,16 @@
 This runs a tiny train step and an H=2/M=1 estimate under its span tracer
 (``tracing.Tracer``) and op counter (``workload.Ops``), so renaming or
 deleting a name the benchmark patches or reads fails here, not in a
-benchmark run.
+benchmark run. Its op counter and clock are single-threaded, so the
+program may enter the wrappers it puts on ``Denoiser.denoise`` and
+``cli.estimate_single`` only from the thread that called ``run_estimate``.
 """
 
 import importlib
 import os
+import threading
+
+import pytest
 
 from posediff import cli, denoiser, sampler, training
 from posediff.data import save_dataset, synth_generate
@@ -60,3 +65,62 @@ def test_benchmark_hooks_attach_and_detach(tmp_path, monkeypatch):
     assert (cli.run_train, cli.estimate_single, training.Trainer.train_epoch,
             denoiser.Denoiser.mhsa_block, denoiser.Denoiser.denoise) == originals
     assert cli.estimate_single is sampler.estimate_single
+
+
+@pytest.fixture
+def estimate_inputs(tmp_path):
+    data = tmp_path / "d.ptc"
+    save_dataset(data, synth_generate(2, 8, 17, seed=0))
+    ckpt, _ = cli.run_train(tiny_cfg(), data, tmp_path / "run", max_steps=1)
+    return ckpt, data
+
+
+def test_patched_names_run_on_the_calling_thread(estimate_inputs, tmp_path, monkeypatch):
+    ckpt, data = estimate_inputs
+    threads = {"denoise": set(), "estimate_single": set(), "forward": set()}
+
+    def spy(key, fn):
+        def wrapper(*args, **kwargs):
+            threads[key].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    Den = denoiser.Denoiser
+    monkeypatch.setattr(Den, "denoise", spy("denoise", Den.denoise))
+    monkeypatch.setattr(Den, "_forward", spy("forward", Den._forward))
+    monkeypatch.setattr(cli, "estimate_single", spy("estimate_single", cli.estimate_single))
+    monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+    monkeypatch.setenv("POSEDIFF_THREADS", "2")
+    cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=3, iterations=2)
+
+    caller = {threading.get_ident()}
+    assert threads["denoise"] == caller
+    assert threads["estimate_single"] == caller
+    assert threads["forward"] - caller  # the pool ran the forwards
+
+
+@pytest.mark.parametrize("threads, H, max_workers", [("2", 3, 2), (str(10**6), 3, 3)])
+def test_pool_size_is_threads_capped_by_hypotheses(estimate_inputs, tmp_path, monkeypatch,
+                                                   threads, H, max_workers):
+    ckpt, data = estimate_inputs
+    pools = []
+
+    class InlinePool:  # records its arguments and starts no thread
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(denoiser, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+    monkeypatch.setenv("POSEDIFF_THREADS", threads)
+    cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=H, iterations=2)
+    # one pool per DDIM step of each of the 2 records
+    assert pools == [{"max_workers": max_workers}] * 4

@@ -359,12 +359,42 @@ class TestEstimateCommand:
         assert np.all(idx == 0)
 
     def test_thread_env_does_not_change_output(self, workspace, tmp_path, monkeypatch):
+        from posediff import denoiser
+
         p1 = tmp_path / "p1.ptc"
-        run_estimate(workspace["ckpt"], workspace["data"], p1, hypotheses=2, iterations=1, seed=5)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
-        p2 = tmp_path / "p2.ptc"
-        run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=1, seed=5)
-        assert p1.read_bytes() == p2.read_bytes()
+        run_estimate(workspace["ckpt"], workspace["data"], p1, hypotheses=2, iterations=2, seed=5)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)  # every model takes the pool
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("POSEDIFF_THREADS", threads)
+            p2 = tmp_path / f"p{threads}.ptc"
+            run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=2,
+                         seed=5)
+            assert p1.read_bytes() == p2.read_bytes(), threads
+
+    @pytest.mark.parametrize(
+        "env, cpus, workers",
+        [({}, 2, 1), ({}, 8, 1), ({"MKL_NUM_THREADS": "1"}, 2, 1),
+         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2), ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+         ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4), ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+         ({"GOTO_NUM_THREADS": "1"}, 3, 3), ({"OMP_NUM_THREADS": "1"}, 2, 2),
+         ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 4, 2),
+         ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+         ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 4, 2),
+         ({"OMP_NUM_THREADS": "4,2"}, 4, 1),
+         ({"OPENBLAS_NUM_THREADS": "1", "POSEDIFF_THREADS": "3"}, 2, 3),
+         ({"POSEDIFF_THREADS": "2"}, 1, 2)],
+    )
+    def test_default_thread_budget(self, monkeypatch, env, cpus, workers):
+        from posediff.cli import _worker_count
+
+        for var in ("POSEDIFF_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert _worker_count() == workers
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_is_config_error(self, workspace, tmp_path, monkeypatch,

@@ -56,7 +56,7 @@ def tobytes_encoding(tensors, meta=None):
         arr = np.ascontiguousarray(tensors[name])
         raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
         code = {np.float32: "f4", np.float64: "f8"}[arr.dtype.type]
-        index[name] = {"dtype": code, "shape": list(arr.shape), "offset": offset,
+        index[name] = {"dtype": code, "shape": list(np.shape(tensors[name])), "offset": offset,
                        "nbytes": len(raw)}
         chunks.append(raw)
         offset += len(raw)
@@ -219,6 +219,28 @@ class TestContainer:
         got, _ = read_container(path)
         for name, arr in tensors.items():
             np.testing.assert_array_equal(got[name].reshape(np.shape(arr)), arr)
+
+    @pytest.mark.parametrize("code", ["f4", "f8"])
+    def test_big_endian_round_trip_is_stored_little_endian(self, tmp_path, code):
+        little = (np.arange(6.0).reshape(2, 3) * 0.75 - 1.5).astype("<" + code)
+        big = little.astype(">" + code)
+        write_container(tmp_path / "big.ptc", {"x": big})
+        write_container(tmp_path / "little.ptc", {"x": little})
+        assert (tmp_path / "big.ptc").read_bytes() == (tmp_path / "little.ptc").read_bytes()
+        got, _ = read_container(tmp_path / "big.ptc")
+        assert got["x"].dtype == np.dtype("<" + code)
+        np.testing.assert_array_equal(got["x"], big)
+
+    def test_zero_d_tensor_keeps_its_shape(self, tmp_path):
+        tensors = {"a": np.float32(2.5), "b": np.array(-1.0), "c": np.array(0.25, ">f8")}
+        path = tmp_path / "t.ptc"
+        write_container(path, tensors)
+        got, _ = read_container(path)
+        for name, value in tensors.items():
+            assert got[name].shape == (), name
+            assert got[name] == value
+        write_container(tmp_path / "again.ptc", got)
+        assert (tmp_path / "again.ptc").read_bytes() == path.read_bytes()
 
     def test_read_holds_one_copy(self, tmp_path):
         path = tmp_path / "t.ptc"

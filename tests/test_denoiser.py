@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,50 @@ class TestDenoise:
         for name, g in grads.items():
             np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
         np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_hypothesis_stack_equals_stacked_single_calls(self, monkeypatch, workers):
+        from posediff import denoiser
+
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
+        model = Denoiser.create(cfg, seed=0, dtype=np.float32)
+        bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=np.float32)
+        prompt = bank.assemble("walk_cycle")
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((3, 16, 17, 3)).astype(np.float32)
+        x = rng.standard_normal((16, 17, 2)).astype(np.float32)
+        want = np.stack([model.denoise_array(y, x, 70, prompt) for y in stack])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to surface shared state
+        try:
+            got = model.denoise_array(stack, x, 70, prompt, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("gate, pooled", [(48, True), (49, False)])
+    def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
+        # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
+        from posediff import denoiser
+
+        _, model, _, prompt, yt, x = setup
+        pools = []
+
+        class Pool(denoiser.ThreadPoolExecutor):
+            def __init__(self, **kw):
+                pools.append(kw)
+                super().__init__(**kw)
+
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
+        monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
+        model.denoise_array(np.stack([yt] * 3), x, 40, prompt, workers=2)
+        assert pools == ([{"max_workers": 2}] if pooled else [])
+
+    def test_hypothesis_stack_while_recording_raises(self, setup):
+        _, model, _, prompt, yt, x = setup
+        with pytest.raises(ShapeError, match="inference only"):
+            model.denoise(np.stack([yt, yt]), x, 40, prompt)
 
     def test_float32_weights_give_float32(self):
         cfg = tiny_config()

@@ -93,22 +93,24 @@ class TestDdimLoop:
         calls = []
 
         def fn(y, x, t):
-            calls.append(t)
+            calls.append((t, y.shape))
             return np.zeros_like(y)
 
         hyp = sample_initial_hypotheses(20, 2, 3, seed=0)
         ddim_loop(np.zeros((2, 3, 2)), hyp, 10, fn, sched, seed=0)
-        assert len(calls) == 200
-        # every hypothesis visits T, T(1-1/M), ..., T/M
+        # one call per step on the whole stack, at T, T(1-1/M), ..., T/M
         want = [1000, 900, 800, 700, 600, 500, 400, 300, 200, 100]
-        assert calls[:10] == want
+        assert calls == [(t, (20, 2, 3, 3)) for t in want]
 
     def test_oracle_returns_fixed_point(self):
         sched = build_schedule(1000)
         rng = np.random.default_rng(4)
         y_star = rng.standard_normal((3, 4, 3))
         hyp = sample_initial_hypotheses(4, 3, 4, seed=1)
-        out = ddim_loop(np.zeros((3, 4, 2)), hyp, 10, lambda y, x, t: y_star, sched, seed=0)
+        out = ddim_loop(
+            np.zeros((3, 4, 2)), hyp, 10, lambda y, x, t: np.stack([y_star] * len(y)), sched,
+            seed=0,
+        )
         for h in range(4):
             np.testing.assert_allclose(out.hypotheses[h], y_star, atol=1e-8)
 
