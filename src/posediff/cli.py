@@ -4,9 +4,8 @@ Every command is deterministic under a fixed config and seed; rerunning
 produces byte-identical artifacts (the training log's wall-clock column
 excepted). Exit codes: 0 success, 1 user/config error, 2 internal invariant
 violation. During estimation each DDIM step denoises all hypotheses of a
-record in one call, which spreads the forwards of paper-size models over up
-to ``POSEDIFF_THREADS`` threads (default: usable CPUs // BLAS threads).
-Results are merged by index, so the thread count never changes outputs.
+record in one call; the denoiser picks its own thread count for it
+(``denoiser.thread_budget``), which never changes outputs.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import csv
 import os
 import sys
 import traceback
+from functools import partial
 
 import numpy as np
 
@@ -46,37 +46,6 @@ REPORT_COLUMNS = ("scope", "id", "action", "frames", "joints", *REPORT_METRICS)
 
 def _fmt(v: float) -> str:
     return f"{v:.9f}"
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _worker_count() -> int:
-    """Denoiser threads: ``POSEDIFF_THREADS``, else usable CPUs // BLAS threads.
-
-    BLAS threads come from the first of ``BLAS_THREAD_VARS`` holding a
-    positive integer, as OpenBLAS reads them; with none, BLAS takes every
-    core, so one worker keeps workers x BLAS threads within the cores.
-    """
-    raw = os.environ.get("POSEDIFF_THREADS")
-    if raw is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-        cpus = len(affinity(0)) if affinity else os.cpu_count()
-        for var in BLAS_THREAD_VARS:
-            try:
-                blas = int(os.environ.get(var, ""))
-            except ValueError:
-                continue
-            if blas >= 1:
-                return max(1, cpus // blas)
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"POSEDIFF_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"POSEDIFF_THREADS must be at least 1, got {raw!r}")
-    return workers
 
 
 # -- synth -----------------------------------------------------------------------
@@ -206,15 +175,12 @@ def _load_model(checkpoint_path):
     return build_runtime(meta["run_config"], tensors)
 
 
-def _estimate_record(rec, runtime, H, M, base_seed, per_frame, workers):
-    cfg = runtime.cfg
-    if (rec.n_frames, rec.n_joints) != (
-        runtime.model_config.n_frames,
-        runtime.model_config.n_joints,
-    ):
+def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
+    cfg, mc = runtime.cfg, runtime.model_config
+    if (rec.n_frames, rec.n_joints) != (mc.n_frames, mc.n_joints):
         raise ConfigError(
             f"record {rec.seq_id!r} is {rec.n_frames}x{rec.n_joints}; checkpoint "
-            f"expects {runtime.model_config.n_frames}x{runtime.model_config.n_joints}"
+            f"expects {mc.n_frames}x{mc.n_joints}"
         )
     if rec.scene is not None and rec.character is not None:
         seed = character_seed(scene_seed(base_seed, rec.scene), rec.character)
@@ -224,23 +190,12 @@ def _estimate_record(rec, runtime, H, M, base_seed, per_frame, workers):
     norm, params = normalize_record(rec, cfg["data"]["normalize"])
     prompt = runtime.prompt_for(rec.action)
     x_norm = norm.keypoints_2d.astype(runtime.dtype)
-
-    def denoise_fn(yt, x, t):
-        return runtime.model.denoise_array(yt.astype(runtime.dtype), x, t, prompt, workers)
-
+    denoise_fn = partial(runtime.model.denoise_array, prompt=prompt)  # the model casts yt
     return estimate_single(
-        x_norm,
-        cam,
-        denoise_fn,
-        runtime.sched,
-        H,
-        M,
-        seed,
-        deterministic=cfg["sample"]["deterministic"],
-        per_frame=per_frame,
+        x_norm, cam, denoise_fn, runtime.sched, H, M, seed,
+        deterministic=cfg["sample"]["deterministic"], per_frame=per_frame,
         to_camera=lambda y: denormalize_poses(y, params),
-        x_pixels=rec.keypoints_2d,
-        frame_mask=rec.presence,
+        x_pixels=rec.keypoints_2d, frame_mask=rec.presence,
     )
 
 
@@ -253,22 +208,16 @@ def run_estimate(
     seed=None,
     per_frame=None,
 ):
-    workers = _worker_count()
     runtime = _load_model(checkpoint_path)
     cfg = runtime.cfg
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
-    jpma_per_frame = (
-        per_frame if per_frame is not None else cfg["sample"]["per_frame_jpma"]
-    )
+    jpma_per_frame = per_frame if per_frame is not None else cfg["sample"]["per_frame_jpma"]
     records = load_dataset(data_path)
     if not records:
         raise ConfigError(f"dataset {data_path} holds no sequences")
-    results = [
-        _estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame, workers)
-        for rec in records
-    ]
+    results = [_estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame) for rec in records]
 
     tensors, cam_notes = {}, {}
     for rec, res in zip(records, results):
@@ -296,6 +245,34 @@ def run_estimate(
 # -- eval ------------------------------------------------------------------------
 
 
+def _read_predictions(pred_path):
+    tensors, meta = read_container(pred_path)
+    if meta.get("kind") != "predictions":
+        raise ConfigError(f"{pred_path}: not a predictions container")
+    return tensors, meta
+
+
+def _scored_frames(rec):
+    """The frame mask that ``rec`` is scored over: the frames its character is in."""
+    if rec.gt_3d is None:
+        raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
+    if rec.presence is None:
+        return np.ones(rec.n_frames, bool)
+    if not rec.presence.any():
+        raise ConfigError(f"record {rec.seq_id!r} has no present frame to evaluate")
+    return rec.presence
+
+
+def _write_per_joint(path, errors):
+    """The per-joint error CSV of ``errors``, (sequence id, per-joint mm) pairs."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["sequence_id", "joint", "mpjpe_mm"])
+        for sid, per_joint in errors:
+            for j, err in enumerate(per_joint):
+                w.writerow([sid, j, _fmt(err)])
+
+
 def _pair_predictions(pred_tensors, records):
     # multi-human ids look like "scene000/ch1", so strip fixed affixes only
     pred_ids = {
@@ -316,9 +293,7 @@ def _pair_predictions(pred_tensors, records):
 def run_eval(pred_path, data_path, out_dir, rigid_only=None):
     """Score predictions; ``rigid_only=None`` takes the predictions' sample.rigid_only."""
     os.makedirs(out_dir, exist_ok=True)
-    pred_tensors, pred_meta = read_container(pred_path)
-    if pred_meta.get("kind") != "predictions":
-        raise ConfigError(f"{pred_path}: not a predictions container")
+    pred_tensors, pred_meta = _read_predictions(pred_path)
     if rigid_only is None:  # the stored config's; False for a file without one
         stored = pred_meta.get("config", {})
         if not isinstance(stored, dict):
@@ -334,16 +309,12 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=None):
     records = load_dataset(data_path)
     _pair_predictions(pred_tensors, records)
 
-    pairs = []
-    per_joint_rows = []
+    pairs, per_joint = [], []
     for rec in sorted(records, key=lambda r: r.seq_id):
-        if rec.gt_3d is None:
-            raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
+        mask = _scored_frames(rec)
         pred = pred_tensors[f"pred/{rec.seq_id}/poses"]
-        mask = rec.presence if rec.presence is not None else np.ones(rec.n_frames, bool)
         pairs.append((rec.seq_id, rec.action, pred[mask], rec.gt_3d[mask]))
-        for j, err in enumerate(per_joint_error_rows(pred, rec.gt_3d, mask)):
-            per_joint_rows.append((rec.seq_id, j, err))
+        per_joint.append((rec.seq_id, per_joint_error_rows(pred, rec.gt_3d, mask)))
 
     rows = compute_report(pairs, rigid_only=rigid_only)
     report_path = os.path.join(out_dir, "report.csv")
@@ -353,11 +324,7 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=None):
         for *labels, m in rows:
             w.writerow(labels + [_fmt(m[k]) for k in REPORT_METRICS])
     per_joint_path = os.path.join(out_dir, "per_joint.csv")
-    with open(per_joint_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sequence_id", "joint", "mpjpe_mm"])
-        for sid, j, err in per_joint_rows:
-            w.writerow([sid, j, _fmt(err)])
+    _write_per_joint(per_joint_path, per_joint)
     return report_path, per_joint_path, rows
 
 
@@ -366,9 +333,7 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=None):
 
 def run_plot(pred_path, data_path, seq_id, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    pred_tensors, pred_meta = read_container(pred_path)
-    if pred_meta.get("kind") != "predictions":
-        raise ConfigError(f"{pred_path}: not a predictions container")
+    pred_tensors, _ = _read_predictions(pred_path)
     records = {r.seq_id: r for r in load_dataset(data_path)}
     if seq_id not in records:
         raise ConfigError(f"unknown sequence id {seq_id!r}; dataset has {sorted(records)}")
@@ -376,6 +341,7 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
     if key not in pred_tensors:
         raise ConfigError(f"{pred_path} has no prediction for {seq_id!r}")
     rec = records[seq_id]
+    mask = _scored_frames(rec)
     pred = pred_tensors[key]
     pred_2d = reproject(pred, rec.camera or default_camera())
     svg = skeleton_svg(pred_2d, rec.keypoints_2d, title=f"{seq_id} ({rec.action})")
@@ -385,13 +351,7 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
         f.write(svg)
 
     csv_path = os.path.join(out_dir, f"{stem}_errors.csv")
-    if rec.gt_3d is None:
-        raise ConfigError(f"record {seq_id!r} has no ground truth for error plotting")
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sequence_id", "joint", "mpjpe_mm"])
-        for j, err in enumerate(per_joint_error_rows(pred, rec.gt_3d, rec.presence)):
-            w.writerow([seq_id, j, _fmt(err)])
+    _write_per_joint(csv_path, [(seq_id, per_joint_error_rows(pred, rec.gt_3d, mask))])
     return svg_path, csv_path
 
 

@@ -14,13 +14,15 @@ cross-attention, ``use_pts`` the stylization.
 
 Inference also takes a leading hypothesis axis: ``denoise`` runs each
 hypothesis's unchanged (N, J, .) forward and stacks the results. Forwards
-of paper size are spread over worker threads, whose GEMMs and large ufuncs
-release the interpreter lock; small ones run in order on the calling thread.
+of paper size are spread over up to ``thread_budget()`` threads, whose GEMMs
+and large ufuncs release the interpreter lock; small ones run in order on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +33,9 @@ from .exceptions import ConfigError, NumericsError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
 
-__all__ = ["DenoiserConfig", "Denoiser", "init_denoiser_weights", "sinusoid_embedding"]
+__all__ = [
+    "DenoiserConfig", "Denoiser", "init_denoiser_weights", "sinusoid_embedding", "thread_budget"
+]
 
 WEIGHT_STD = 0.02
 LN_EPS = 1e-5
@@ -41,6 +45,35 @@ LN_EPS = 1e-5
 # CHANGES.md). Below it, the threads mostly wait for the interpreter lock;
 # tiny (16x17x64) sits below, paper (243x17x512) far above.
 PARALLEL_MIN_ELEMENTS = 26_112
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def thread_budget() -> int:
+    """Hypothesis threads: ``POSEDIFF_THREADS``, else usable CPUs // BLAS threads.
+
+    BLAS threads come from the first of ``BLAS_THREAD_VARS`` holding a
+    positive integer, as OpenBLAS reads them; with none, BLAS takes every
+    core, so one worker keeps workers x BLAS threads within the cores.
+    """
+    raw = os.environ.get("POSEDIFF_THREADS")
+    if raw is None:
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        cpus = len(affinity(0)) if affinity else os.cpu_count()
+        for var in BLAS_THREAD_VARS:
+            try:
+                blas = int(os.environ.get(var, ""))
+            except ValueError:
+                continue
+            if blas >= 1:
+                return max(1, cpus // blas)
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"POSEDIFF_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -314,16 +347,16 @@ class Denoiser:
 
     # -- full forward ----------------------------------------------------------
 
-    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None, workers: int = 1) -> Tensor:
+    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None) -> Tensor:
         """Full forward pass; returns the predicted clean pose as (N, J, 3).
 
         For inference only, ``yt`` may also be an (H, N, J, 3) hypothesis
         stack; each hypothesis gets its own (N, J, 3) forward and the
         predictions come back stacked in hypothesis order. When one forward
         has at least ``PARALLEL_MIN_ELEMENTS`` frames x joints x feature_dim,
-        the hypotheses are spread over ``min(workers, H)`` threads; otherwise
-        they run in order on the calling thread. ``workers`` never changes
-        the result.
+        the hypotheses are spread over ``min(thread_budget(), H)`` threads;
+        otherwise they run in order on the calling thread. The budget is
+        read (and checked) on every stack and never changes the result.
         """
         yt = np.asarray(yt)
         if yt.ndim != 4:
@@ -332,6 +365,7 @@ class Denoiser:
             raise ShapeError(
                 f"a hypothesis stack {yt.shape} is for inference only; denoise it under no_grad"
             )
+        workers = thread_budget()
         cfg = self.config
         big = cfg.n_frames * cfg.n_joints * cfg.feature_dim >= PARALLEL_MIN_ELEMENTS
         threads = min(workers, len(yt)) if big else 1
@@ -362,10 +396,10 @@ class Denoiser:
         f = self.spatio_temporal_stack(f)
         return self.decode_head(f)
 
-    def denoise_array(self, yt, x, t, prompt=None, workers: int = 1) -> np.ndarray:
+    def denoise_array(self, yt, x, t, prompt=None) -> np.ndarray:
         """Inference convenience: no graph construction, plain ndarray out."""
         with no_grad():
-            return self.denoise(yt, x, t, prompt, workers).data
+            return self.denoise(yt, x, t, prompt).data
 
     def trainable(self) -> dict:
         return dict(self.weights)

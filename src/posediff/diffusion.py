@@ -2,9 +2,10 @@
 
 The forward process corrupts a clean pose sequence Y0 toward Gaussian noise
 through the cosine variance schedule; the reverse process reconstructs it
-with DDIM steps driven by a predicted clean sample. All functions here are
-pure and a schedule is immutable after construction, so they are safe to
-share across concurrent hypothesis evaluations.
+with DDIM steps driven by a predicted clean sample; a step is stochastic
+exactly when it is given noise. All functions here are pure and a schedule
+is immutable after construction, so they are safe to share across concurrent
+hypothesis evaluations.
 """
 
 from __future__ import annotations
@@ -103,18 +104,18 @@ def ddim_step(
     t_prev: int,
     sched: NoiseSchedule,
     noise: np.ndarray | None = None,
-    deterministic: bool = True,
 ) -> np.ndarray:
     """One DDIM reverse step from timestamp t to t_prev.
 
-    Returns sqrt(abar_prev)*y0_hat + eps_t*sqrt(1-abar_prev-sigma^2) + sigma*eps.
-    With ``deterministic`` the sigma terms are dropped entirely.
+    Returns sqrt(abar_prev)*y0_hat + eps_t*sqrt(1-abar_prev-sigma^2) + sigma*noise.
+    With ``noise=None`` the step is deterministic: sigma is 0 and both of its
+    terms are dropped.
     """
     sched.check_timestamp(t)
     if not (0 <= t_prev < t):
         raise ScheduleError(f"need 0 <= t_prev < t, got t_prev={t_prev}, t={t}")
     abar_prev = sched.alpha_bar[t_prev]
-    sigma = 0.0 if deterministic else ddim_sigma(t, t_prev, sched)
+    sigma = 0.0 if noise is None else ddim_sigma(t, t_prev, sched)
     eps_t = ddim_epsilon(yt, y0_hat, t, sched)
 
     under_root = 1.0 - abar_prev - sigma * sigma
@@ -125,9 +126,7 @@ def ddim_step(
     under_root = max(under_root, 0.0)
 
     out = math.sqrt(abar_prev) * y0_hat + eps_t * math.sqrt(under_root)
-    if not deterministic and sigma > 0.0:
-        if noise is None:
-            raise ScheduleError("stochastic ddim_step requires noise")
+    if sigma > 0.0:
         if np.shape(noise) != np.shape(yt):
             raise ShapeError(f"noise shape {np.shape(noise)} != pose shape {np.shape(yt)}")
         out = out + sigma * noise

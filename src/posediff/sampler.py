@@ -5,8 +5,9 @@ together with M denoising iterations, reprojects the results to the image
 plane, and for every joint keeps the trajectory of the hypothesis whose
 reprojection lies closest to the observed 2D keypoints. Hypotheses never
 exchange information: each DDIM step denoises the (H, N, J, 3) stack in one
-call, which refines every hypothesis on its own, and all merging is by index
-and deterministic. The characters of a multi-human scene are estimated as
+call, which refines every hypothesis on its own, and the refined stack goes
+to camera space in one ``to_camera`` call; all merging is by index and
+deterministic. The characters of a multi-human scene are estimated as
 separate sequences, each with its own seed (``character_seed``) and presence
 mask (``frame_mask``).
 
@@ -131,7 +132,7 @@ def ddim_loop(
         noise = None if deterministic else np.stack(
             [gaussian(y.shape[1:], seed, "ddim", h, m) for h in range(hyp.count)]
         )
-        y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise, deterministic)
+        y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise)
         t_cur = t_next
     return HypothesisSet(y0_hat)
 
@@ -206,8 +207,9 @@ def estimate_single(
 ) -> EstimateResult:
     """Full single-human inference: sample, iterate, aggregate.
 
-    ``to_camera`` maps model-space hypotheses to camera-space poses before
-    reprojection (identity when the model already works in camera space);
+    ``to_camera`` maps the (H, N, J, 3) model-space hypothesis stack to
+    camera-space poses before reprojection (identity when the model already
+    works in camera space);
     ``x_pixels`` supplies the raw pixel keypoints when ``x`` is normalized.
     """
     x = np.asarray(x)
@@ -216,9 +218,7 @@ def estimate_single(
     n, j = x.shape[:2]
     hyp = sample_initial_hypotheses(H, n, j, seed)
     refined = ddim_loop(x, hyp, M, denoise_fn, sched, deterministic=deterministic, seed=seed)
-    cam_hyps = refined.hypotheses
-    if to_camera is not None:
-        cam_hyps = np.stack([to_camera(y) for y in cam_hyps])
+    cam_hyps = refined.hypotheses if to_camera is None else to_camera(refined.hypotheses)
     ref_x = x if x_pixels is None else np.asarray(x_pixels)
     poses, sel = jpma_aggregate(
         HypothesisSet(cam_hyps), ref_x, cam, per_frame=per_frame, frame_mask=frame_mask

@@ -386,7 +386,7 @@ class TestEstimateCommand:
          ({"POSEDIFF_THREADS": "2"}, 1, 2)],
     )
     def test_default_thread_budget(self, monkeypatch, env, cpus, workers):
-        from posediff.cli import _worker_count
+        from posediff.denoiser import thread_budget
 
         for var in ("POSEDIFF_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -394,7 +394,7 @@ class TestEstimateCommand:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert _worker_count() == workers
+        assert thread_budget() == workers
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one_is_config_error(self, workspace, tmp_path, monkeypatch,
@@ -676,6 +676,22 @@ class TestEvalCommand:
         r2, _, _ = run_eval(workspace["pred"], workspace["data"], tmp_path / "e2")
         assert open(r1).read() == open(r2).read()
 
+    def test_record_absent_in_every_frame_is_config_error(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        present, absent = synth_generate(2, 8, 17, seed=3)
+        absent = replace(absent, keypoints_2d=np.zeros_like(absent.keypoints_2d),
+                         presence=np.zeros(8, bool))
+        data, pred, out = tmp_path / "data.ptc", tmp_path / "pred.ptc", tmp_path / "eval"
+        save_dataset(data, [present, absent])
+        write_container(pred, {f"pred/{r.seq_id}/poses": r.gt_3d for r in (present, absent)},
+                        meta={"kind": "predictions"})
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(pred), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert repr(absent.seq_id) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestPlotCommand:
     def test_svg_wellformed_and_joint_count(self, workspace, tmp_path):
@@ -709,6 +725,21 @@ class TestPlotCommand:
     def test_unknown_sequence(self, workspace, tmp_path):
         with pytest.raises(ConfigError, match="nope"):
             run_plot(workspace["pred"], workspace["data"], "nope", tmp_path / "plots")
+
+    def test_record_without_ground_truth_writes_nothing(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        rec = replace(synth_generate(1, 8, 17, seed=3)[0], gt_3d=None)
+        data, pred, out = tmp_path / "data.ptc", tmp_path / "pred.ptc", tmp_path / "plots"
+        save_dataset(data, [rec])
+        write_container(pred, {f"pred/{rec.seq_id}/poses": np.full((8, 17, 3), 3000.0)},
+                        meta={"kind": "predictions"})
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["plot", "--predictions", str(pred), "--data", str(data),
+                     "--sequence", rec.seq_id, "--out", str(out)]) == 1
+        assert "ground truth" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestExitCodes:

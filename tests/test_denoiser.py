@@ -363,11 +363,12 @@ class TestDenoise:
             np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
         np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_hypothesis_stack_equals_stacked_single_calls(self, monkeypatch, workers):
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    def test_hypothesis_stack_equals_stacked_single_calls(self, monkeypatch, threads):
         from posediff import denoiser
 
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
         cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
         model = Denoiser.create(cfg, seed=0, dtype=np.float32)
         bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=np.float32)
@@ -379,17 +380,16 @@ class TestDenoise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, to surface shared state
         try:
-            got = model.denoise_array(stack, x, 70, prompt, workers)
+            got = model.denoise_array(stack, x, 70, prompt)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("gate, pooled", [(48, True), (49, False)])
-    def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
-        # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
+    @staticmethod
+    def record_pools(monkeypatch):
+        """The keyword arguments of every thread pool the denoiser opens from now."""
         from posediff import denoiser
 
-        _, model, _, prompt, yt, x = setup
         pools = []
 
         class Pool(denoiser.ThreadPoolExecutor):
@@ -397,10 +397,42 @@ class TestDenoise:
                 pools.append(kw)
                 super().__init__(**kw)
 
-        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
         monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
-        model.denoise_array(np.stack([yt] * 3), x, 40, prompt, workers=2)
+        return pools
+
+    @pytest.mark.parametrize("gate, pooled", [(48, True), (49, False)])
+    def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
+        # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
+        from posediff import denoiser
+
+        _, model, _, prompt, yt, x = setup
+        pools = self.record_pools(monkeypatch)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
+        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
         assert pools == ([{"max_workers": 2}] if pooled else [])
+
+    @pytest.mark.parametrize("threads, max_workers", [("3", 3), ("8", 4)])
+    def test_library_call_pools_the_thread_budget(self, setup, monkeypatch, threads,
+                                                  max_workers):
+        from posediff import denoiser
+
+        _, model, _, prompt, yt, x = setup
+        pools = self.record_pools(monkeypatch)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 48)  # at the gate
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        model.denoise_array(np.stack([yt] * 4), x, 40, prompt)
+        assert pools == [{"max_workers": max_workers}]
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "many"])
+    def test_bad_thread_budget_raises_below_the_gate(self, setup, monkeypatch, threads):
+        from posediff import denoiser
+
+        _, model, _, prompt, yt, x = setup
+        assert 2 * 3 * 8 < denoiser.PARALLEL_MIN_ELEMENTS
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        with pytest.raises(ConfigError, match="POSEDIFF_THREADS"):
+            model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
 
     def test_hypothesis_stack_while_recording_raises(self, setup):
         _, model, _, prompt, yt, x = setup

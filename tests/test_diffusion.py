@@ -178,7 +178,7 @@ class TestDdimStep:
         s = make_linear(4, 0.1, 0.2)
         y0 = np.full((2, 3), 1.5)
         yt = math.sqrt(s.alpha_bar[3]) * y0  # makes eps_t = 0
-        out = ddim_step(yt, y0, 3, 1, s, deterministic=True)
+        out = ddim_step(yt, y0, 3, 1, s)
         np.testing.assert_allclose(out, math.sqrt(s.alpha_bar[1]) * y0, rtol=1e-12)
 
     def test_scalar_hand_evaluation(self):
@@ -190,9 +190,7 @@ class TestDdimStep:
         sigma = ddim_sigma(2, 1, s)
         eps_t = 1.0
         want = math.sqrt(0.5) * 2.0 + eps_t * math.sqrt(1.0 - 0.5 - sigma**2)
-        out = ddim_step(
-            yt, y0h, 2, 1, s, noise=np.zeros(1), deterministic=False
-        )
+        out = ddim_step(yt, y0h, 2, 1, s, noise=np.zeros(1))
         np.testing.assert_allclose(out, [want], rtol=1e-10)
 
     def test_perfect_oracle_loop_hits_fixed_point(self):
@@ -202,7 +200,7 @@ class TestDdimStep:
         yt = forward_diffuse(y0, 30, s, gaussian(y0.shape, 1))
         ts = [30, 24, 18, 12, 6, 0]
         for t, tp in zip(ts[:-1], ts[1:]):
-            yt = ddim_step(yt, y0, t, tp, s, deterministic=True)
+            yt = ddim_step(yt, y0, t, tp, s)
         np.testing.assert_allclose(yt, y0, atol=1e-12)
 
     def test_ordering_errors(self):
