@@ -328,7 +328,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     While recording, forward and backward keep per-leading-index products
     (and sum an (N, D, O) weight-gradient stack), so training rounds exactly
     as ``x @ weight + bias`` does: acceptance 11's 400-step ranking of the
-    full model against w/o-Prompt is decided by that rounding (ROADMAP 4).
+    full model against w/o-Prompt is decided by that rounding (ROADMAP item 1).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if weight.ndim != 2:

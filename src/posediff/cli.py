@@ -52,6 +52,8 @@ def _fmt(v: float) -> str:
 
 
 def run_synth(out_path, n_sequences, n_frames, n_joints, seed, motion, characters=0):
+    if min(n_sequences, n_frames) < 1:
+        raise ConfigError(f"--sequences {n_sequences} and --frames {n_frames} must be >= 1")
     records = synth_generate(n_sequences, n_frames, n_joints, seed, motion)
     if characters:
         records += synth_generate_multi(characters, n_frames, n_joints, seed + 1, motion)
@@ -137,7 +139,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
                 "checkpoint was trained with a different config "
                 f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
             )
-        restore_trainer(trainer, tensors, meta)
+        restore_trainer(trainer, tensors, meta, len(samples))
         trainer.logs = _read_log(log_path, trainer.opt.step_count)
 
     def save(*names):
@@ -208,6 +210,9 @@ def run_estimate(
     seed=None,
     per_frame=None,
 ):
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir} does not exist")
     runtime = _load_model(checkpoint_path)
     cfg = runtime.cfg
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]
@@ -249,13 +254,18 @@ def _read_predictions(pred_path):
     tensors, meta = read_container(pred_path)
     if meta.get("kind") != "predictions":
         raise ConfigError(f"{pred_path}: not a predictions container")
-    return tensors, meta
+    return tensors
 
 
-def _scored_frames(rec):
-    """The frame mask that ``rec`` is scored over: the frames its character is in."""
+def _scored_frames(rec, pred):
+    """The frame mask that ``rec`` is scored over: the frames its character is in.
+    ``pred``, its predicted poses, must have the shape of its ground truth."""
     if rec.gt_3d is None:
         raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
+    if pred.shape != rec.gt_3d.shape:
+        raise ConfigError(
+            f"record {rec.seq_id!r} has {rec.gt_3d.shape} ground truth but {pred.shape} poses"
+        )
     if rec.presence is None:
         return np.ones(rec.n_frames, bool)
     if not rec.presence.any():
@@ -290,29 +300,17 @@ def _pair_predictions(pred_tensors, records):
         )
 
 
-def run_eval(pred_path, data_path, out_dir, rigid_only=None):
-    """Score predictions; ``rigid_only=None`` takes the predictions' sample.rigid_only."""
+def run_eval(pred_path, data_path, out_dir, rigid_only=False):
+    """Score predictions; ``rigid_only`` aligns P-MPJPE without scale."""
     os.makedirs(out_dir, exist_ok=True)
-    pred_tensors, pred_meta = _read_predictions(pred_path)
-    if rigid_only is None:  # the stored config's; False for a file without one
-        stored = pred_meta.get("config", {})
-        if not isinstance(stored, dict):
-            raise ConfigError(f"{pred_path}: predictions 'config' must be an object")
-        sample = stored.get("sample", {})
-        if not isinstance(sample, dict):
-            raise ConfigError(f"{pred_path}: predictions config 'sample' must be an object")
-        rigid_only = sample.get("rigid_only", False)
-        if not isinstance(rigid_only, bool):
-            raise ConfigError(
-                f"{pred_path}: 'sample.rigid_only' must be true or false, got {rigid_only!r}"
-            )
+    pred_tensors = _read_predictions(pred_path)
     records = load_dataset(data_path)
     _pair_predictions(pred_tensors, records)
 
     pairs, per_joint = [], []
     for rec in sorted(records, key=lambda r: r.seq_id):
-        mask = _scored_frames(rec)
         pred = pred_tensors[f"pred/{rec.seq_id}/poses"]
+        mask = _scored_frames(rec, pred)
         pairs.append((rec.seq_id, rec.action, pred[mask], rec.gt_3d[mask]))
         per_joint.append((rec.seq_id, per_joint_error_rows(pred, rec.gt_3d, mask)))
 
@@ -333,7 +331,7 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=None):
 
 def run_plot(pred_path, data_path, seq_id, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    pred_tensors, _ = _read_predictions(pred_path)
+    pred_tensors = _read_predictions(pred_path)
     records = {r.seq_id: r for r in load_dataset(data_path)}
     if seq_id not in records:
         raise ConfigError(f"unknown sequence id {seq_id!r}; dataset has {sorted(records)}")
@@ -341,8 +339,8 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
     if key not in pred_tensors:
         raise ConfigError(f"{pred_path} has no prediction for {seq_id!r}")
     rec = records[seq_id]
-    mask = _scored_frames(rec)
     pred = pred_tensors[key]
+    mask = _scored_frames(rec, pred)
     pred_2d = reproject(pred, rec.camera or default_camera())
     svg = skeleton_svg(pred_2d, rec.keypoints_2d, title=f"{seq_id} ({rec.action})")
     stem = seq_id.replace("/", "_")
@@ -405,8 +403,8 @@ def build_parser() -> _Parser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rigid-only", action="store_true", default=None,
-                   help="rigid P-MPJPE alignment (default: the predictions' sample.rigid_only)")
+    p.add_argument("--rigid-only", action="store_true",
+                   help="align P-MPJPE by rotation and translation only (default: also scale)")
 
     p = sub.add_parser("plot", help="render one sequence as SVG + error CSV")
     p.add_argument("--predictions", required=True)

@@ -35,7 +35,8 @@ DEFAULTS = {
         for f in dataclasses.fields(DenoiserConfig)
         if f.name not in ("n_frames", "n_joints")  # set from the data section
     },
-    "prompt": {"encoder": "hashed", "encoder_seed": 0, "embeddings_file": None},
+    # a path picks the file encoder, null the hash encoder
+    "prompt": {"embeddings_file": None},
     "data": {
         "n_frames": 243,
         "n_joints": 17,
@@ -47,7 +48,6 @@ DEFAULTS = {
         "iterations": 10,
         "deterministic": True,
         "per_frame_jpma": False,
-        "rigid_only": False,
     },
 }
 
@@ -158,10 +158,6 @@ def validate_config(cfg: dict):
         raise ConfigError("; ".join(errors))
     if cfg["dtype"] not in _DTYPES:
         raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {cfg['dtype']!r}")
-    if cfg["prompt"]["encoder"] not in ("hashed", "file"):
-        raise ConfigError("prompt.encoder must be 'hashed' or 'file'")
-    if cfg["prompt"]["encoder"] == "file" and not cfg["prompt"]["embeddings_file"]:
-        raise ConfigError("prompt.encoder='file' needs prompt.embeddings_file")
     if cfg["data"]["normalize"] not in ("root_centered", "image_normalized"):
         raise ConfigError("data.normalize must be root_centered or image_normalized")
     if cfg["sample"]["hypotheses"] < 1 or cfg["sample"]["iterations"] < 1:
@@ -199,15 +195,15 @@ class Runtime:
             )
         self.bank = None
         if m["use_fpp"]:
-            p = cfg["prompt"]
-            if p["encoder"] == "file":
-                encoder = PrecomputedTextEncoder(p["embeddings_file"])
+            path = cfg["prompt"]["embeddings_file"]
+            if path is not None:
+                encoder = PrecomputedTextEncoder(path)
                 if encoder.embed_dim != m["feature_dim"]:
                     raise ConfigError(
                         f"embedding file dim {encoder.embed_dim} != model dim {m['feature_dim']}"
                     )
             else:
-                encoder = HashTextEncoder(m["feature_dim"], seed=p["encoder_seed"])
+                encoder = HashTextEncoder(m["feature_dim"])
             self.bank = PromptBank(
                 PromptSpec(), encoder, seed=cfg["seed"], dtype=self.dtype
             )

@@ -95,7 +95,8 @@ def read_container(path, prefixes: tuple | None = None) -> tuple[dict, dict]:
     """Read a container; returns (tensors, meta). Unknown names are preserved.
 
     Every manifest entry is checked against the file size before anything is
-    allocated; then each tensor is read straight into its own array. With
+    allocated; then each tensor is read straight into its own array, and must
+    hold finite values only. With
     ``prefixes``, only tensors whose names start with one of them are read.
     """
     path = os.fspath(path)
@@ -140,6 +141,8 @@ def read_container(path, prefixes: tuple | None = None) -> tuple[dict, dict]:
             f.seek(blob_start + info["offset"])
             if f.readinto(_bytes_view(arr)) != arr.nbytes:
                 raise ConfigError(f"{path}: tensor {name!r} is truncated")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{path}: tensor {name!r} holds a non-finite value")
             tensors[name] = arr
     return tensors, meta
 

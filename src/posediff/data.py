@@ -172,10 +172,13 @@ def load_dataset(path) -> list:
     sequences = meta.get("sequences", [])
     if not isinstance(sequences, list):
         raise ConfigError(f"{path}: the sequence index is not a list")
-    records = []
+    records, seen = [], set()
     for i, entry in enumerate(sequences):
         _check_entry(path, i, entry)
         sid = entry["id"]
+        if sid in seen:
+            raise ConfigError(f"{path}: record {sid!r} appears twice in the sequence index")
+        seen.add(sid)
         base = f"seq/{sid}"
         kp = tensors.get(f"{base}/keypoints_2d")
         if kp is None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _grad_enabled, concat, gelu, layer_norm, linear, no_grad, softmax
-from .exceptions import ConfigError, NumericsError, ShapeError
+from .exceptions import ConfigError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
 
@@ -309,10 +309,7 @@ class Denoiser:
             f = f.permute(1, 0, 2)
         else:
             raise ConfigError(f"unknown attention axis {axis!r}")
-        f = self._mlp(f, f"{block}/mlp")
-        if not np.isfinite(f.data).all():
-            raise NumericsError(f"non-finite activations after block {block!r}")
-        return f
+        return self._mlp(f, f"{block}/mlp")
 
     def prompt_cross_attention(self, f: Tensor, prompt: PromptEmbedding, attn_sink=None) -> Tensor:
         """Inject the 77 prompt rows into pose tokens; residual + output projection."""

@@ -114,7 +114,7 @@ def ddim_loop(
     to round(T*(1-m/M)); after the final denoise the predicted clean poses
     are returned directly (stepping to timestamp 0 would reproduce them
     exactly). Stochastic steps draw hypothesis h's noise from (``seed``,
-    "ddim", h, m).
+    "ddim", h, m). A non-finite denoiser output raises ``NumericsError``.
     """
     if M < 1:
         raise ConfigError(f"iteration count must be >= 1, got {M}")
@@ -124,6 +124,8 @@ def ddim_loop(
         y0_hat = np.asarray(denoise_fn(y, x, t_cur))
         if y0_hat.shape != y.shape:
             raise ShapeError(f"denoiser returned {y0_hat.shape}, expected {y.shape}")
+        if not np.isfinite(y0_hat).all():
+            raise NumericsError(f"denoiser returned non-finite poses at t={t_cur}")
         if m == M:
             break
         t_next = timestamp_for_iteration(m, M, sched.T)

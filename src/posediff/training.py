@@ -35,7 +35,7 @@ __all__ = [
     "restore_trainer",
 ]
 
-ADAM_EPS = 1e-8
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,6 @@ class TrainConfig:
     batch_size: int = 4
     lr0: float = 6e-5
     lr_decay: float = 0.993
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     weight_decay: float = 0.1
     max_steps: int | None = None
     checkpoint_every: int = 1
@@ -55,10 +53,6 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size, checkpoint_every must be >= 1")
         if self.lr0 <= 0 or not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError(f"bad lr0={self.lr0} or lr_decay={self.lr_decay}")
-        for name in ("adam_beta1", "adam_beta2"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ConfigError(f"{name}={v} outside [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay={self.weight_decay} must be >= 0")
 
@@ -101,8 +95,8 @@ class AdamW:
     def step(self, lr: float):
         cfg = self.cfg
         self.step_count += 1
-        bc1 = 1.0 - cfg.adam_beta1**self.step_count
-        bc2 = 1.0 - cfg.adam_beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is not None and not np.isfinite(g).all():
@@ -112,10 +106,10 @@ class AdamW:
             m, v = self.m[name], self.v[name]
             if g is None:
                 g = 0.0
-            m *= cfg.adam_beta1
-            m += (1.0 - cfg.adam_beta1) * g
-            v *= cfg.adam_beta2
-            v += (1.0 - cfg.adam_beta2) * np.square(g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if not np.isfinite(p.data).all():
                 raise NumericsError(f"non-finite parameter {name!r} after update")
@@ -285,11 +279,15 @@ def restore_model(model, bank, tensors: dict) -> None:
         restore_modifiers(bank, tensors)
 
 
-def restore_trainer(trainer: Trainer, tensors: dict, meta: dict) -> None:
-    """Install checkpoint state into a freshly built trainer (bit-exact resume)."""
-    for key in ("opt_step", "epoch", "epoch_step"):
-        if not _is_int(meta.get(key)):
-            raise ConfigError(f"checkpoint meta {key!r} must be an integer, got {meta.get(key)!r}")
+def restore_trainer(trainer: Trainer, tensors: dict, meta: dict, n_samples: int) -> None:
+    """Install checkpoint state into a freshly built trainer that goes on to
+    train on ``n_samples`` samples (bit-exact resume)."""
+    batches = -(-n_samples // trainer.cfg.batch_size)  # per epoch
+    for key, end in (("opt_step", None), ("epoch", None), ("epoch_step", batches)):
+        v = meta.get(key)
+        if not _is_int(v) or v < 0 or (end is not None and v >= end):
+            bound = "" if end is None else f" below the epoch's {end} batches"
+            raise ConfigError(f"checkpoint meta {key!r} must be an integer >= 0{bound}, got {v!r}")
     restore_model(trainer.model, trainer.bank, tensors)
     # restore_model swaps the data of the optimizer's own parameter tensors
     opt = trainer.opt

@@ -15,6 +15,12 @@ from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.exceptions import ConfigError
 
 
+# config keys that left the schema, each with the value it used to default to
+REMOVED_KEYS = [("prompt.encoder", "hashed"), ("prompt.encoder_seed", 0),
+                ("train.adam_beta1", 0.9), ("train.adam_beta2", 0.999),
+                ("sample.rigid_only", False)]
+
+
 def tiny_cfg(**model_flags):
     cfg = load_config(None, "tiny")
     cfg["data"]["n_frames"] = 8
@@ -104,7 +110,7 @@ class TestConfig:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({
             "train": {"lr0": 1, "max_steps": 5},
-            "prompt": {"encoder": "file", "embeddings_file": "emb.ptc"},
+            "prompt": {"embeddings_file": "emb.ptc"},
         }))
         cfg = load_config(path)
         assert cfg["train"]["lr0"] == 1 and cfg["train"]["max_steps"] == 5
@@ -116,6 +122,17 @@ class TestConfig:
         assert main(["train", "--preset", "tiny", "--config", str(config), "--data",
                      str(tmp_path / "d.ptc"), "--out", str(tmp_path / "run")]) == 1
         assert "'model.heads'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS)
+    def test_removed_key_exits_one(self, tmp_path, capsys, key, value):
+        section, name = key.split(".")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({section: {name: value}}))
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data",
+                     str(tmp_path / "d.ptc"), "--out", str(tmp_path / "run")]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_hash_stable_and_sensitive(self):
         a, b = default_config(), default_config()
@@ -145,7 +162,6 @@ class TestConfig:
 
         emb = write_embeddings(tmp_path / "emb.ptc")
         cfg = tiny_cfg()
-        cfg["prompt"]["encoder"] = "file"
         cfg["prompt"]["embeddings_file"] = str(emb)
         runtime = build_runtime(cfg)
         assert runtime.bank.assemble("motion").tokens.shape == (77, 32)
@@ -164,6 +180,14 @@ class TestSynthCommand:
         records = load_dataset(out)
         assert len(records) == 4  # 2 singles + 2-character scene
         assert sum(1 for r in records if r.scene) == 2
+
+    @pytest.mark.parametrize("flag", ["--sequences", "--frames"])
+    def test_zero_count_exits_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "d.ptc"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), flag, "0"]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_under_seed(self, tmp_path):
         a, b = tmp_path / "a.ptc", tmp_path / "b.ptc"
@@ -263,7 +287,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("opt_step", None), ("epoch", "1"), ("epoch_step", 0.0), ("run_config", None)],
+        [("opt_step", None), ("epoch", "1"), ("epoch_step", 0.0), ("run_config", None),
+         # one batch per epoch: 2 samples, batch size 4
+         ("opt_step", -1), ("epoch", -1), ("epoch_step", -1), ("epoch_step", 1),
+         ("epoch_step", 99)],
     )
     def test_resume_rejects_malformed_meta(self, tmp_path, capsys, key, value):
         args, last = self.one_step_run(tmp_path)
@@ -273,9 +300,11 @@ class TestTrainCommand:
         else:
             meta[key] = value
         write_container(last, tensors, meta)
+        written = {p.name: p.read_bytes() for p in last.parent.iterdir()}
         capsys.readouterr()
         assert main(args + ["--resume", "--steps", "2"]) == 1
         assert key in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in last.parent.iterdir()} == written
 
     def test_resume_rejects_empty_run_config(self, tmp_path, capsys):
         args, last = self.one_step_run(tmp_path)
@@ -309,8 +338,7 @@ class TestTrainCommand:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "data": {"n_frames": 8}, "model": {"feature_dim": 32},
-            "prompt": {"encoder": "file",
-                       "embeddings_file": str(write_embeddings(tmp_path / "emb.ptc"))},
+            "prompt": {"embeddings_file": str(write_embeddings(tmp_path / "emb.ptc"))},
         }))
         capsys.readouterr()
         assert main(["train", "--preset", "tiny", "--config", str(config), "--data", str(data),
@@ -411,7 +439,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("model.heads", None), ("schedule.T", None), ("sample.deterministic", None),
-         ("schedule.kind", "cosine"), ("train.bogus", 1)],
+         ("schedule.kind", "cosine"), ("train.bogus", 1), *REMOVED_KEYS],
     )
     def test_stored_config_off_schema_is_config_error(self, workspace, tmp_path, capsys,
                                                       key, value):
@@ -483,21 +511,38 @@ class TestEstimateCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == Path(workspace["pred"]).read_bytes()
 
-    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    @pytest.mark.parametrize("damage", ["missing", "shape", "nan"])
     def test_bad_checkpoint_weight_is_config_error(self, workspace, tmp_path, capsys, damage):
         tensors, meta = read_container(workspace["ckpt"])
         key = "weights/head/w"
         if damage == "missing":
             del tensors[key]
-        else:
+        elif damage == "shape":
             tensors[key] = tensors[key][:-1]
-        ckpt = tmp_path / "ckpt.ptc"
+        else:
+            tensors[key][0, 0] = np.nan
+        ckpt, out = tmp_path / "ckpt.ptc", tmp_path / "p.ptc"
         write_container(ckpt, tensors, meta)
         capsys.readouterr()
         assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
-                     "--out", str(tmp_path / "p.ptc"), "--hypotheses", "1",
-                     "--iterations", "1"]) == 1
+                     "--out", str(out), "--hypotheses", "1", "--iterations", "1"]) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_output_directory_exits_before_loading(self, workspace, tmp_path, capsys,
+                                                           monkeypatch):
+        from posediff import cli
+
+        def refuse(path):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(cli, "_load_model", refuse)
+        out = tmp_path / "missing" / "p.ptc"
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                     "--data", str(workspace["data"]), "--out", str(out)]) == 1
+        assert str(out.parent) in capsys.readouterr().err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("characters", [1, 2])
     def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):
@@ -606,44 +651,41 @@ class TestEvalCommand:
         assert overall["pck150_percent"] == 100.0
         assert overall["auc_percent"] == 100.0
 
-    def test_rigid_only_default_comes_from_predictions_config(self, workspace, tmp_path):
+    def test_rigid_only_flag_keeps_scale_error(self, workspace, tmp_path):
         # a pure scale error: similarity alignment removes it, rigid alignment cannot
         tensors = {
             f"pred/{rec.seq_id}/poses": 1.5 * rec.gt_3d for rec in load_dataset(workspace["data"])
         }
+        # a stored config never decides the alignment, whatever it holds
+        pred = tmp_path / "pred.ptc"
+        write_container(pred, tensors, meta={"kind": "predictions", "config": ["ignored"]})
 
-        def overall_p_mpjpe(rigid_only, flags):
-            cfg = tiny_cfg()
-            cfg["sample"]["rigid_only"] = rigid_only
-            pred = tmp_path / f"pred_{rigid_only}.ptc"
-            write_container(pred, tensors, meta={"kind": "predictions", "config": cfg})
-            out = tmp_path / f"eval_{rigid_only}_{len(flags)}"
+        def overall_p_mpjpe(flags):
+            out = tmp_path / f"eval_{len(flags)}"
             assert main(["eval", "--predictions", str(pred), "--data", str(workspace["data"]),
                          "--out", str(out)] + flags) == 0
             with open(out / "report.csv") as f:
                 return next(float(r["p_mpjpe_mm"]) for r in csv.DictReader(f)
                             if r["scope"] == "overall")
 
-        similarity = overall_p_mpjpe(False, [])
-        rigid = overall_p_mpjpe(True, [])
-        assert similarity < 1e-6 and rigid > 1.0
-        assert overall_p_mpjpe(False, ["--rigid-only"]) == rigid
+        assert overall_p_mpjpe([]) < 1e-6
+        assert overall_p_mpjpe(["--rigid-only"]) > 1.0
 
-    @pytest.mark.parametrize(
-        "config, field",
-        [(["tiny"], "config"), ({"sample": [False]}, "sample"),
-         ({"sample": {"rigid_only": "no"}}, "sample.rigid_only")],
-        ids=["config", "sample", "rigid_only"],
-    )
-    def test_malformed_predictions_config_is_config_error(self, workspace, tmp_path, capsys,
-                                                          config, field):
-        tensors = {f"pred/{rec.seq_id}/poses": rec.gt_3d for rec in load_dataset(workspace["data"])}
-        pred = tmp_path / "pred.ptc"
-        write_container(pred, tensors, meta={"kind": "predictions", "config": config})
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_prediction_shape_mismatch_writes_nothing(self, workspace, tmp_path, capsys,
+                                                      command):
+        records = load_dataset(workspace["data"])
+        tensors = {f"pred/{rec.seq_id}/poses": rec.gt_3d for rec in records}
+        tensors["pred/seq002/poses"] = tensors["pred/seq002/poses"][:4]  # (4, 17, 3) of 8
+        pred, out = tmp_path / "pred.ptc", tmp_path / "out"
+        write_container(pred, tensors, meta={"kind": "predictions"})
+        out.mkdir()
+        args = ["--sequence", "seq002"] if command == "plot" else []
         capsys.readouterr()
-        assert main(["eval", "--predictions", str(pred), "--data", str(workspace["data"]),
-                     "--out", str(tmp_path / "eval")]) == 1
-        assert repr(field) in capsys.readouterr().err
+        assert main([command, "--predictions", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(out)] + args) == 1
+        assert "'seq002'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_pairing_error_lists_orphans(self, workspace, tmp_path):
         pred = tmp_path / "orphan.ptc"

@@ -296,6 +296,17 @@ class TestContainer:
         with pytest.raises(ConfigError, match="opt/m/a"):
             read_container(path, prefixes=("weights/",))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_value_is_config_error(self, tmp_path, bad, dtype):
+        path = tmp_path / "t.ptc"
+        x = np.ones((2, 3), dtype=dtype)
+        x[1, 2] = bad
+        write_container(path, {"ok": np.ones(2), "x/y": x})
+        with pytest.raises(ConfigError, match=f"{path}.*'x/y'.*non-finite"):
+            read_container(path)
+        assert read_container(path, prefixes=("ok",))[0].keys() == {"ok"}
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "t.ptc"
         write_container(path, {"x": np.ones(2)})
@@ -337,6 +348,21 @@ class TestDatasetIO:
             load_dataset(path)
         assert main(["train", "--preset", "tiny", "--data", str(path),
                      "--out", str(tmp_path / "run"), "--steps", "1"]) == 1
+
+    def test_duplicate_id_names_record(self, tmp_path, capsys):
+        path = tmp_path / "d.ptc"
+        save_dataset(path, synth_generate(2, 8, 17, seed=1))
+        tensors, meta = read_container(path)
+        meta["sequences"].append(dict(meta["sequences"][1]))
+        write_container(path, tensors, meta)
+        with pytest.raises(ConfigError, match="'seq001' appears twice"):
+            load_dataset(path)
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--data", str(path), "--out", str(run),
+                     "--steps", "1"]) == 1
+        assert "'seq001'" in capsys.readouterr().err
+        assert list(run.iterdir()) == []
 
     def test_presence_length_mismatch_names_record(self, tmp_path):
         path = tmp_path / "d.ptc"

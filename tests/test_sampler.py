@@ -114,6 +114,13 @@ class TestDdimLoop:
         for h in range(4):
             np.testing.assert_allclose(out.hypotheses[h], y_star, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_denoise_raises_at_m1(self, bad):
+        hyp = sample_initial_hypotheses(2, 2, 3, seed=0)
+        with pytest.raises(NumericsError, match="non-finite"):
+            ddim_loop(np.zeros((2, 3, 2)), hyp, 1, lambda y, x, t: np.full_like(y, bad),
+                      build_schedule(10), seed=0)
+
     def test_stochastic_reproducible(self):
         sched = build_schedule(50)
         fn = lambda y, x, t: y * 0.9

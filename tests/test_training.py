@@ -221,7 +221,7 @@ class TestCheckpoint:
         tensors, meta = read_checkpoint(path)
         # frozen prompt text is not stored: the encoder rebuilds it
         assert not [k for k in tensors if "frozen" in k]
-        restore_trainer(fresh, tensors, meta)
+        restore_trainer(fresh, tensors, meta, len(samples))
         assert fresh.epoch == 1
         fresh.train_epoch(samples)
 
@@ -242,7 +242,7 @@ class TestCheckpoint:
         for k in range(7):
             tensors[f"prompt_frozen/motion/{k}"] = np.full((4, 3), 9.0)
         fresh = make_trainer(seed=13)
-        restore_trainer(fresh, tensors, meta)
+        restore_trainer(fresh, tensors, meta, 2)
         for action in ("walk_cycle", None):
             np.testing.assert_array_equal(
                 fresh.bank.assemble(action).tokens.data, trainer.bank.assemble(action).tokens.data
