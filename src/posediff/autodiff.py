@@ -4,10 +4,11 @@ The op set is deliberately closed: matmul, linear, add/sub, Hadamard
 product, concat, softmax, GELU, mean/sum, permute, reshape, sqrt and scalar
 powers. Layer norm is a composition of these primitives. ``linear`` is a
 primitive with a hand-written backward, checked against finite differences
-by acceptance 4; without a graph it runs as one 2-D GEMM over the flattened
-leading axes. Every gradient in the package reduces to the rules below.
-Anything outside the set raises NotImplementedError at graph-construction
-time.
+by acceptance 4. Without a graph (inference), ``linear`` runs as one 2-D GEMM
+over the flattened leading axes, and ``layer_norm`` and ``gelu`` each fill
+one output buffer in place. Every gradient in the package reduces to the
+rules below. Anything outside the set raises NotImplementedError at
+graph-construction time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
 ``requires_grad=True``. Broadcasting follows numpy semantics; the backward
@@ -33,6 +34,11 @@ _state = threading.local()
 
 def _grad_enabled() -> bool:
     return getattr(_state, "no_grad_depth", 0) == 0
+
+
+def _recording(*tensors) -> bool:
+    """Whether an op on ``tensors`` records a graph node."""
+    return _grad_enabled() and any(t.requires_grad for t in tensors)
 
 
 class no_grad:
@@ -71,7 +77,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if _grad_enabled() and any(p.requires_grad for p in parents):
+        if _recording(*parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -298,6 +304,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error GELU: x * Phi(x)."""
     x = _as_tensor(x)
+    if not _recording(x):
+        out = np.multiply(x.data, _INV_SQRT2)
+        erf(out, out=out)
+        out += 1.0
+        out *= 0.5
+        out *= x.data
+        return Tensor(out)
     cdf = erf(x.data * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
@@ -311,7 +324,18 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply learnable scale and offset."""
+    """Normalize over the last axis, then apply learnable scale and offset.
+
+    Without a graph: centre into one buffer, then normalize, scale and offset it.
+    """
+    x, scale, offset = _as_tensor(x), _as_tensor(scale), _as_tensor(offset)
+    if not _recording(x, scale, offset):
+        inv_n = 1.0 / x.shape[-1]
+        out = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+        out *= (np.einsum("...i,...i->...", out, out)[..., None] * inv_n + eps) ** -0.5
+        out *= scale.data
+        out += offset.data
+        return Tensor(out)
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -337,7 +361,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         bias = _as_tensor(bias)
         parents += (bias,)
-    if not (_grad_enabled() and any(p.requires_grad for p in parents)):
+    if not _recording(*parents):
         out = x.data.reshape(-1, x.shape[-1]) @ weight.data
         if bias is not None:
             out += bias.data

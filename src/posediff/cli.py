@@ -213,6 +213,8 @@ def run_estimate(
     out_dir = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"--out {out_path} is a directory, not a predictions file")
     runtime = _load_model(checkpoint_path)
     cfg = runtime.cfg
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]

@@ -200,14 +200,18 @@ def load_dataset(path) -> list:
         if presence is not None and presence.shape != (n,):
             raise ConfigError(f"{path}: record {sid!r} presence has shape {presence.shape}")
         cam = entry.get("camera")
+        cam = None if cam is None else CameraIntrinsics.from_dict(cam)
+        presence = None if presence is None else presence > 0.5
+        if cam is not None:
+            _check_rays(path, sid, kp, cam, presence)
         records.append(
             SequenceRecord(
                 seq_id=sid,
                 keypoints_2d=kp,
                 gt_3d=gt,
                 action=entry.get("action", ""),
-                camera=None if cam is None else CameraIntrinsics.from_dict(cam),
-                presence=None if presence is None else presence > 0.5,
+                camera=cam,
+                presence=presence,
                 scene=entry.get("scene"),
                 character=entry.get("character"),
             )
@@ -237,6 +241,20 @@ def _check_entry(path, i, entry) -> None:
                 f"{path}: record {entry['id']!r} has a missing or mistyped {key}: "
                 f"{entry.get(key)!r}"
             )
+
+
+def _check_rays(path, sid, kp, cam, presence) -> None:
+    """Raise ConfigError unless the normalized keypoints fit in float32.
+
+    A camera field can be finite in the index and still send the rays past
+    the narrowest model dtype (``cx`` = 1e308, ``fx`` = 1e-300).
+    """
+    with np.errstate(over="ignore"):
+        rays = normalize_keypoints(kp, cam, presence)
+    for axis, (c, f) in enumerate((("cx", "fx"), ("cy", "fy"))):
+        if not (np.abs(rays[..., axis]) <= np.finfo(np.float32).max).all():
+            raise ConfigError(f"{path}: record {sid!r} camera {c}={getattr(cam, c)!r}, "
+                              f"{f}={getattr(cam, f)!r} puts keypoints outside float32")
 
 
 # -- synthetic generator ---------------------------------------------------------

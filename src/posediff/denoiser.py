@@ -181,6 +181,14 @@ def init_denoiser_weights(config: DenoiserConfig, seed: int, dtype=np.float64) -
     return weights
 
 
+def _residual(x: Tensor, y: Tensor) -> Tensor:
+    """x + y; without a graph, added into y, a fresh projection output."""
+    if _grad_enabled():
+        return x + y
+    y.data += x.data
+    return y
+
+
 def sinusoid_embedding(t: float, dim: int) -> np.ndarray:
     """Interleaved sin/cos positional code of scalar t; t=0 gives [0,1,0,1,...]."""
     half = dim // 2
@@ -232,8 +240,11 @@ class Denoiser:
         h = linear(Tensor(sin[None].astype(self.dtype)), self._w("time/fc1/w"), self._w("time/fc1/b"))
         return linear(gelu(h), self._w("time/fc2/w"), self._w("time/fc2/b"))
 
-    def embed_input(self, yt, x, t, prompt: PromptEmbedding | None) -> Tensor:
-        """Concat(3D, 2D) per joint token -> D, plus positional/prompt/time terms."""
+    def embed_input(self, yt, x, t, prompt: PromptEmbedding | None, temb=None) -> Tensor:
+        """Concat(3D, 2D) per joint token -> D, plus positional/prompt/time terms.
+
+        ``temb``, if given, is ``timestamp_embed(t)`` computed by the caller.
+        """
         yt = np.asarray(yt)
         x = np.asarray(x)
         if yt.ndim != 3 or yt.shape[2] != 3 or x.ndim != 3 or x.shape[2] != 2:
@@ -254,17 +265,17 @@ class Denoiser:
             if prompt is None:
                 raise ConfigError("prompt conditioning enabled but no prompt given")
             z = z + prompt.pooled
-        return z + self.timestamp_embed(t)
+        return z + (self.timestamp_embed(t) if temb is None else temb)
 
     # -- attention blocks ----------------------------------------------------
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        # (..., S, D) -> (..., H, S, d)
+    def _split_heads(self, x: Tensor, seq_axis: int = -2) -> Tensor:
+        # (..., D) -> (other token axes..., H, S, d), S being x's seq_axis; a view
         cfg = self.config
-        lead = x.shape[:-1]
-        x = x.reshape(*lead, cfg.heads, cfg.head_dim)
-        axes = tuple(range(x.ndim))
-        return x.permute(axes[:-3] + (axes[-2], axes[-3], axes[-1]))
+        seq = seq_axis % x.ndim
+        x = x.reshape(*x.shape[:-1], cfg.heads, cfg.head_dim)
+        batch = tuple(a for a in range(x.ndim - 2) if a != seq)
+        return x.permute(batch + (x.ndim - 2, seq, x.ndim - 1))
 
     def _merge_heads(self, x: Tensor) -> Tensor:
         # (..., H, S, d) -> (..., S, D)
@@ -272,43 +283,57 @@ class Denoiser:
         x = x.permute(axes[:-3] + (axes[-2], axes[-3], axes[-1]))
         return x.reshape(*x.shape[:-2], self.config.feature_dim)
 
-    def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None) -> Tensor:
-        """Pre-norm residual multi-head attention over x's second-to-last axis.
+    def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None, seq_axis=-2):
+        """Pre-norm residual multi-head attention over x's ``seq_axis``.
 
         Queries come from the layer-normed x. Keys and values come from the
         same normed x (self-attention) or from the ``context`` rows as given
-        (cross-attention).
+        (cross-attention). Norm, projections and residual run in x's token
+        layout; only the attention core sees the head split. Without a graph,
+        q carries 1/sqrt(d), and the scores, softmax and head merge reuse buffers.
         """
         w = self._w
         h = layer_norm(x, w(f"{prefix}/ln/scale"), w(f"{prefix}/ln/offset"), LN_EPS)
         kv = h if context is None else context
-        q = self._split_heads(linear(h, w(f"{prefix}/wq"), w(f"{prefix}/bq")))
-        k = self._split_heads(linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk")))
-        v = self._split_heads(linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv")))
+        q = self._split_heads(linear(h, w(f"{prefix}/wq"), w(f"{prefix}/bq")), seq_axis)
+        k = self._split_heads(linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk")), seq_axis)
+        v = self._split_heads(linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv")), seq_axis)
         scale = 1.0 / math.sqrt(self.config.head_dim)
         *lead, rows, cols = range(k.ndim)
-        attn = softmax(q @ k.permute(*lead, cols, rows) * scale, axis=-1)
+        if _grad_enabled():
+            attn = softmax(q @ k.permute(*lead, cols, rows) * scale, axis=-1)
+            out = self._merge_heads(attn @ v)
+        else:
+            q.data *= scale
+            attn = q @ k.permute(*lead, cols, rows)
+            a = attn.data
+            a -= a.max(axis=-1, keepdims=True)
+            np.exp(a, out=a)
+            a /= a.sum(axis=-1, keepdims=True)
+            out = Tensor(np.empty(x.shape, dtype=a.dtype))  # token layout
+            np.matmul(a, v.data, out=self._split_heads(out, seq_axis).data)
         if attn_sink is not None:
             attn_sink.append(attn.data)
-        out = self._merge_heads(attn @ v)
-        return x + linear(out, w(f"{prefix}/wo"), w(f"{prefix}/bo"))
+        return _residual(x, linear(out, w(f"{prefix}/wo"), w(f"{prefix}/bo")))
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
         w = self._w
         h = layer_norm(x, w(f"{prefix}/ln/scale"), w(f"{prefix}/ln/offset"), LN_EPS)
         h = gelu(linear(h, w(f"{prefix}/fc1/w"), w(f"{prefix}/fc1/b")))
-        return x + linear(h, w(f"{prefix}/fc2/w"), w(f"{prefix}/fc2/b"))
+        return _residual(x, linear(h, w(f"{prefix}/fc2/w"), w(f"{prefix}/fc2/b")))
 
     def mhsa_block(self, f: Tensor, axis: str, block: str, attn_sink=None) -> Tensor:
         """One transformer block; ``axis`` picks joint-wise or frame-wise attention."""
-        if axis == "spatial":
-            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink)
-        elif axis == "temporal":
-            f = f.permute(1, 0, 2)
-            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink)
+        seq_axis = {"spatial": 1, "temporal": 0}.get(axis)
+        if seq_axis is None:
+            raise ConfigError(f"unknown attention axis {axis!r}")
+        if seq_axis == 0 and _grad_enabled():
+            # a recorded graph keeps the frame-major operand layout: the
+            # stacked-GEMM gradient sums, and so training's rounding, depend on it
+            f = self._attention(f.permute(1, 0, 2), f"{block}/attn", attn_sink=attn_sink)
             f = f.permute(1, 0, 2)
         else:
-            raise ConfigError(f"unknown attention axis {axis!r}")
+            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink, seq_axis=seq_axis)
         return self._mlp(f, f"{block}/mlp")
 
     def prompt_cross_attention(self, f: Tensor, prompt: PromptEmbedding, attn_sink=None) -> Tensor:
@@ -322,10 +347,10 @@ class Denoiser:
         out = self._attention(f.reshape(n * j, d), "cross", prompt.tokens, attn_sink)
         return out.reshape(n, j, d)
 
-    def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t) -> Tensor:
-        """Scale-and-offset features with a prompt+timestamp vector."""
+    def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t, temb=None) -> Tensor:
+        """Scale-and-offset features with a prompt+timestamp vector (``temb`` as above)."""
         w = self._w
-        v = self.timestamp_embed(t)
+        v = self.timestamp_embed(t) if temb is None else temb
         if self.config.use_fpp and prompt is not None:
             v = prompt.pooled + v
         base = linear(v, w("pts/phi/w"), w("pts/phi/b"))
@@ -354,10 +379,13 @@ class Denoiser:
         the hypotheses are spread over ``min(thread_budget(), H)`` threads;
         otherwise they run in order on the calling thread. The budget is
         read (and checked) on every stack and never changes the result.
+        Without a graph, the timestamp code is computed once per call (a graph
+        computes it per use: sharing it would move training's rounding).
         """
         yt = np.asarray(yt)
+        temb = None if _grad_enabled() else self.timestamp_embed(t)
         if yt.ndim != 4:
-            return self._forward(yt, x, t, prompt)
+            return self._forward(yt, x, t, prompt, temb)
         if _grad_enabled():
             raise ShapeError(
                 f"a hypothesis stack {yt.shape} is for inference only; denoise it under no_grad"
@@ -369,7 +397,7 @@ class Denoiser:
 
         def forward(h):
             with no_grad():  # grad mode is per thread
-                return self._forward(yt[h], x, t, prompt).data
+                return self._forward(yt[h], x, t, prompt, temb).data
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -378,15 +406,15 @@ class Denoiser:
             outs = [forward(h) for h in range(len(yt))]
         return Tensor(np.stack(outs))
 
-    def _forward(self, yt, x, t, prompt) -> Tensor:
+    def _forward(self, yt, x, t, prompt, temb) -> Tensor:
         cfg = self.config
-        f = self.embed_input(yt, x, t, prompt)
+        f = self.embed_input(yt, x, t, prompt, temb)
         for i in range(cfg.blocks_spatial):
             f = self.mhsa_block(f, "spatial", f"spatial{i}")
         if cfg.use_fpp and cfg.use_fpc:
             f = self.prompt_cross_attention(f, prompt)
         if cfg.use_pts:
-            f = self.pts_stylize(f, prompt, t)
+            f = self.pts_stylize(f, prompt, t, temb)
         f = f + self._w("input/pos_temporal").reshape(cfg.n_frames, 1, cfg.feature_dim)
         for i in range(cfg.blocks_temporal):
             f = self.mhsa_block(f, "temporal", f"temporal{i}")

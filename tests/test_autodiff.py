@@ -124,9 +124,22 @@ def test_softmax_and_gelu_match_reference_formulas_bitwise(dtype):
     e = np.exp(a - a.max(axis=-1, keepdims=True))
     np.testing.assert_array_equal(softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
     cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
-    out = gelu(Tensor(a)).data
+    for recording in (False, True):  # gelu has a branch for each
+        out = gelu(Tensor(a, requires_grad=recording))
+        assert out.requires_grad == recording and out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, a * cdf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_without_graph_matches_composition(dtype):
+    rng = np.random.default_rng(7)
+    x, scale, offset = (rng.standard_normal(s).astype(dtype) for s in ((4, 5, 16), 16, 16))
+    recorded = layer_norm(*(Tensor(v, requires_grad=True) for v in (x, scale, offset)))
+    assert recorded.requires_grad
+    with no_grad():
+        out = layer_norm(Tensor(x), Tensor(scale), Tensor(offset)).data
     assert out.dtype == dtype
-    np.testing.assert_array_equal(out, a * cdf)
+    np.testing.assert_allclose(out, recorded.data, rtol=1e-5, atol=1e-6)
 
 
 def test_layer_norm_grad():

@@ -544,6 +544,37 @@ class TestEstimateCommand:
         assert str(out.parent) in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_output_directory_exits_before_loading(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        from posediff import cli
+
+        def refuse(path):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(cli, "_load_model", refuse)
+        out = tmp_path / "adir"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                     "--data", str(workspace["data"]), "--out", str(out)]) == 1
+        assert f"{out} is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value", [("cx", 1e308), ("fy", 1e-300)])
+    def test_camera_overflowing_float32_exits_one(self, workspace, tmp_path, capsys,
+                                                  field, value):
+        tensors, meta = read_container(workspace["data"])
+        meta["sequences"][1]["camera"][field] = value
+        data = tmp_path / "data.ptc"
+        write_container(data, tensors, meta)
+        out = tmp_path / "p.ptc"
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                     "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "'seq001'" in err and f"{field}={value!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("characters", [1, 2])
     def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):
         from posediff.cli import _load_model

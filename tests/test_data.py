@@ -111,6 +111,11 @@ MALFORMED_DATASET_ENTRIES = {
     "camera_not_object": ((1, "camera"), [1000.0], "seq001.*camera"),
     "camera_no_fy": ((1, "camera"), {"fx": 1.0}, "seq001.*camera"),
     "camera_string_cx": ((1, "camera", "cx"), "500", "seq001.*camera"),
+    # finite in the index, but the normalized keypoints overflow float32
+    "camera_cx_huge": ((1, "camera", "cx"), 1e308, r"seq001.*cx=1e\+308"),
+    "camera_cy_huge": ((1, "camera", "cy"), -1e308, r"seq001.*cy=-1e\+308"),
+    "camera_fx_tiny": ((1, "camera", "fx"), 1e-300, r"seq001.*fx=1e-300"),
+    "camera_fy_tiny": ((1, "camera", "fy"), 1e-300, r"seq001.*fy=1e-300"),
 }
 
 

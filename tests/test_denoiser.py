@@ -1,9 +1,10 @@
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from posediff.autodiff import Tensor
+from posediff.autodiff import Tensor, no_grad
 from posediff.denoiser import (
     Denoiser,
     DenoiserConfig,
@@ -151,6 +152,20 @@ class TestMhsaBlock:
         f = Tensor(np.tile(tok, (2, 3, 1)))
         out = model.mhsa_block(f, "spatial", "spatial0").data
         np.testing.assert_allclose(out, np.broadcast_to(out[:, :1, :], out.shape), atol=1e-10)
+
+    @pytest.mark.parametrize("axis", ["spatial", "temporal"])
+    def test_no_grad_block_matches_recorded_block(self, axis):
+        # without a graph the block keeps token layout and folds 1/sqrt(6) into q
+        model = Denoiser.create(tiny_config(n_frames=5, feature_dim=12, heads=2), seed=0)
+        f = Tensor(np.random.default_rng(2).standard_normal((5, 3, 12)))
+        sinks = [], []
+        want = model.mhsa_block(f, axis, "spatial0", attn_sink=sinks[0])
+        with no_grad():
+            got = model.mhsa_block(f, axis, "spatial0", attn_sink=sinks[1])
+        assert want.requires_grad and not got.requires_grad
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-14)
+        assert sinks[1][0].shape == sinks[0][0].shape
+        np.testing.assert_allclose(sinks[1][0], sinks[0][0], rtol=1e-12, atol=1e-14)
 
     def test_shape_preserved(self, setup):
         _, model, _, prompt, yt, x = setup
@@ -327,41 +342,52 @@ class TestDenoise:
         assert np.sqrt(np.mean((final - y0) ** 2)) < 1e-2
 
     def test_linear_primitive_matches_composition(self, monkeypatch):
-        # The tiny preset's network shape, run with the ``linear`` primitive
-        # and with the matmul-plus-bias composition it replaced: training
-        # (graph recorded) must round identically; inference, which flattens
-        # the leading axes into one GEMM, may differ by rounding only.
+        # The tiny preset's network shape, under every ablation flag, run with
+        # the ``linear`` primitive and with the matmul-plus-bias composition it
+        # replaced: training (graph recorded) must round identically;
+        # inference, which flattens the leading axes into one GEMM and takes
+        # the no-graph layer norm, GELU and attention, may differ from either
+        # by rounding only.
         from posediff import denoiser
 
-        cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
-        model = Denoiser.create(cfg, seed=0, dtype=np.float32)
+        primitive = denoiser.linear
         rng = np.random.default_rng(5)
-        for name, w in model.weights.items():
-            if name.endswith(("/b", "bq", "bk", "bv", "bo")):
-                w.data[:] = 0.1 * rng.standard_normal(w.shape)
         bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=np.float32)
-        prompt = bank.assemble("walk_cycle")
-        yt = rng.standard_normal((16, 17, 3))
-        x = rng.standard_normal((16, 17, 2))
-        target = rng.standard_normal((16, 17, 3)).astype(np.float32)
+        for flags in itertools.product([True, False], repeat=3):
+            cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4,
+                                 **dict(zip(("use_fpp", "use_fpc", "use_pts"), flags)))
+            model = Denoiser.create(cfg, seed=0, dtype=np.float32)
+            for name, w in model.weights.items():
+                if name.endswith(("/b", "bq", "bk", "bv", "bo")):
+                    w.data[:] = 0.1 * rng.standard_normal(w.shape)
+            prompt = bank.assemble("walk_cycle") if cfg.use_fpp else None
+            yt = rng.standard_normal((16, 17, 3))
+            x = rng.standard_normal((16, 17, 2))
+            target = rng.standard_normal((16, 17, 3)).astype(np.float32)
 
-        def run():
-            for w in model.weights.values():
-                w.grad = None
-            out = model.denoise(yt, x, 30, prompt)
-            (out * target).sum().backward()
-            grads = {k: w.grad for k, w in model.weights.items()}
-            return out.data, grads, model.denoise_array(yt, x, 30, prompt)
+            def run():
+                for w in model.weights.values():
+                    w.grad = None
+                out = model.denoise(yt, x, 30, prompt)
+                (out * target).sum().backward()
+                grads = {k: w.grad for k, w in model.weights.items()}
+                return out.data, grads, model.denoise_array(yt, x, 30, prompt)
 
-        out, grads, inferred = run()
-        monkeypatch.setattr(
-            denoiser, "linear", lambda x, w, b=None: x @ w if b is None else x @ w + b
-        )
-        ref_out, ref_grads, ref_inferred = run()
-        np.testing.assert_array_equal(out, ref_out)
-        for name, g in grads.items():
-            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
-        np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
+            monkeypatch.setattr(denoiser, "linear", primitive)
+            out, grads, inferred = run()
+            monkeypatch.setattr(
+                denoiser, "linear", lambda x, w, b=None: x @ w if b is None else x @ w + b
+            )
+            ref_out, ref_grads, ref_inferred = run()
+            np.testing.assert_array_equal(out, ref_out, err_msg=str(flags))
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, ref_grads[name], err_msg=f"{flags} {name}")
+            # entries near zero get an absolute floor of 1e-5 of the output's scale
+            tol = {"rtol": 1e-5, "atol": 1e-5 * np.abs(out).max(), "err_msg": str(flags)}
+            np.testing.assert_allclose(inferred, out, **tol)
+            np.testing.assert_allclose(ref_inferred, out, **tol)
+            if all(flags):
+                np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
 
     @pytest.mark.parametrize("threads", ["1", "2", "5"])
     def test_hypothesis_stack_equals_stacked_single_calls(self, monkeypatch, threads):
@@ -438,6 +464,18 @@ class TestDenoise:
         _, model, _, prompt, yt, x = setup
         with pytest.raises(ShapeError, match="inference only"):
             model.denoise(np.stack([yt, yt]), x, 40, prompt)
+
+    def test_timestamp_embedded_once_per_call_without_graph(self, setup, monkeypatch):
+        _, model, _, prompt, yt, x = setup
+        calls = []
+        original = Denoiser.timestamp_embed
+        monkeypatch.setattr(Denoiser, "timestamp_embed",
+                            lambda self, t: calls.append(t) or original(self, t))
+        recorded = model.denoise(yt, x, 40, prompt).data
+        assert calls == [40, 40]  # embed_input and pts_stylize, each its own
+        stacked = model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
+        assert calls == [40, 40, 40]
+        np.testing.assert_allclose(stacked, np.stack([recorded] * 3), rtol=1e-12, atol=1e-14)
 
     def test_float32_weights_give_float32(self):
         cfg = tiny_config()
