@@ -149,7 +149,6 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
             save_checkpoint(os.path.join(out_dir, name), trainer, cfg)
 
     tcfg = trainer.cfg
-    max_steps = tcfg.max_steps if max_steps is None else max_steps
     target_epochs = tcfg.epochs if epochs is None else epochs
     every = tcfg.checkpoint_every
 
@@ -208,7 +207,7 @@ def run_estimate(
     hypotheses=None,
     iterations=None,
     seed=None,
-    per_frame=None,
+    per_frame=False,
 ):
     out_dir = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(out_dir):
@@ -220,11 +219,10 @@ def run_estimate(
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
-    jpma_per_frame = per_frame if per_frame is not None else cfg["sample"]["per_frame_jpma"]
     records = load_dataset(data_path)
     if not records:
         raise ConfigError(f"dataset {data_path} holds no sequences")
-    results = [_estimate_record(rec, runtime, H, M, base_seed, jpma_per_frame) for rec in records]
+    results = [_estimate_record(rec, runtime, H, M, base_seed, per_frame) for rec in records]
 
     tensors, cam_notes = {}, {}
     for rec, res in zip(records, results):
@@ -242,7 +240,7 @@ def run_estimate(
         "hypotheses": H,
         "iterations": M,
         "seed": base_seed,
-        "per_frame_jpma": jpma_per_frame,
+        "per_frame_jpma": per_frame,
         "cameras": cam_notes,
     }
     write_container(out_path, tensors, meta)
@@ -399,7 +397,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hypotheses", type=int)
     p.add_argument("--iterations", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--per-frame-jpma", action="store_true", default=None)
+    p.add_argument("--per-frame-jpma", action="store_true",
+                   help="pick each joint's hypothesis per frame (default: per sequence)")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--predictions", required=True)

@@ -47,7 +47,6 @@ DEFAULTS = {
         "hypotheses": 20,
         "iterations": 10,
         "deterministic": True,
-        "per_frame_jpma": False,
     },
 }
 
@@ -71,7 +70,7 @@ PRESETS = {
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 # keys whose default is null, and the type a value set there takes
-_NULLABLE = {"prompt.embeddings_file": str, "train.max_steps": int}
+_NULLABLE = {"prompt.embeddings_file": str}
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 

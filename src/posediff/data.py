@@ -35,7 +35,6 @@ __all__ = [
     "normalize_record",
     "denormalize_poses",
     "normalize_keypoints",
-    "joint_part_map",
 ]
 
 MM_PER_UNIT = 1000.0
@@ -70,22 +69,6 @@ OFFSETS_17 = np.array(
     ],
     dtype=np.float64,
 )
-
-PART_GROUPS_17 = {
-    "head": (9, 10),
-    "body": (0, 7, 8),
-    "arms": (11, 12, 13, 14, 15, 16),
-    "legs": (1, 2, 3, 4, 5, 6),
-}
-
-
-def joint_part_map(n_joints: int) -> dict:
-    """Body-part partition declared in the manifest, clipped to J joints."""
-    return {
-        part: [j for j in joints if j < n_joints]
-        for part, joints in PART_GROUPS_17.items()
-    }
-
 
 @dataclass
 class SequenceRecord:
@@ -159,13 +142,14 @@ def save_dataset(path, records: list) -> None:
         "kind": "dataset",
         "unit": "mm",
         "coords": "camera frame: x right, y down, z forward (depth), millimeters",
-        "joint_parts": joint_part_map(records[0].n_joints) if records else {},
         "sequences": sorted(index, key=lambda e: e["id"]),
     }
     write_container(path, tensors, meta)
 
 
 def load_dataset(path) -> list:
+    """The file's records. ``SequenceRecord`` judges each one; its and the
+    camera's errors become ConfigErrors naming the file and the record."""
     tensors, meta = read_container(path)
     if meta.get("kind") != "dataset":
         raise ConfigError(f"{path}: not a dataset container (kind={meta.get('kind')!r})")
@@ -184,38 +168,33 @@ def load_dataset(path) -> list:
         if kp is None:
             raise ConfigError(f"{path}: record {sid!r} is indexed but has no keypoints")
         n, j = entry["n_frames"], entry["n_joints"]
-        if n < 1 or j < 1:
-            raise ConfigError(f"{path}: record {sid!r} declares non-positive N or J")
         if kp.shape != (n, j, 2):
             raise ConfigError(
                 f"{path}: record {sid!r} manifest says {n}x{j} frames/joints "
                 f"but blob holds {kp.shape}"
             )
-        gt = tensors.get(f"{base}/gt_3d")
-        if entry.get("has_gt") and gt is None:
-            raise ConfigError(f"{path}: record {sid!r} is missing its gt_3d tensor")
-        if gt is not None and gt.shape != (n, j, 3):
-            raise ConfigError(f"{path}: record {sid!r} gt_3d has shape {gt.shape}")
-        presence = tensors.get(f"{base}/presence")
-        if presence is not None and presence.shape != (n,):
-            raise ConfigError(f"{path}: record {sid!r} presence has shape {presence.shape}")
+        for flag, name in (("has_gt", "gt_3d"), ("has_presence", "presence")):
+            if entry.get(flag) and f"{base}/{name}" not in tensors:
+                raise ConfigError(f"{path}: record {sid!r} is missing its {name} tensor")
+        gt, presence = tensors.get(f"{base}/gt_3d"), tensors.get(f"{base}/presence")
         cam = entry.get("camera")
-        cam = None if cam is None else CameraIntrinsics.from_dict(cam)
-        presence = None if presence is None else presence > 0.5
-        if cam is not None:
-            _check_rays(path, sid, kp, cam, presence)
-        records.append(
-            SequenceRecord(
+        try:
+            rec = SequenceRecord(
                 seq_id=sid,
                 keypoints_2d=kp,
                 gt_3d=gt,
                 action=entry.get("action", ""),
-                camera=cam,
-                presence=presence,
+                camera=None if cam is None else CameraIntrinsics.from_dict(cam),
+                presence=None if presence is None else presence > 0.5,
                 scene=entry.get("scene"),
                 character=entry.get("character"),
             )
-        )
+        except (ShapeError, ConfigError) as e:
+            msg = str(e).removeprefix(f"{sid}: ")  # the record's own messages open with its id
+            raise ConfigError(f"{path}: record {sid!r}: {msg}") from None
+        if rec.camera is not None:
+            _check_rays(path, rec)
+        records.append(rec)
     return records
 
 
@@ -243,17 +222,18 @@ def _check_entry(path, i, entry) -> None:
             )
 
 
-def _check_rays(path, sid, kp, cam, presence) -> None:
-    """Raise ConfigError unless the normalized keypoints fit in float32.
+def _check_rays(path, rec) -> None:
+    """Raise ConfigError unless the record's normalized keypoints fit in float32.
 
     A camera field can be finite in the index and still send the rays past
     the narrowest model dtype (``cx`` = 1e308, ``fx`` = 1e-300).
     """
+    cam = rec.camera
     with np.errstate(over="ignore"):
-        rays = normalize_keypoints(kp, cam, presence)
+        rays = normalize_keypoints(rec.keypoints_2d, cam, rec.presence)
     for axis, (c, f) in enumerate((("cx", "fx"), ("cy", "fy"))):
         if not (np.abs(rays[..., axis]) <= np.finfo(np.float32).max).all():
-            raise ConfigError(f"{path}: record {sid!r} camera {c}={getattr(cam, c)!r}, "
+            raise ConfigError(f"{path}: record {rec.seq_id!r} camera {c}={getattr(cam, c)!r}, "
                               f"{f}={getattr(cam, f)!r} puts keypoints outside float32")
 
 

@@ -45,7 +45,6 @@ class TrainConfig:
     lr0: float = 6e-5
     lr_decay: float = 0.993
     weight_decay: float = 0.1
-    max_steps: int | None = None
     checkpoint_every: int = 1
 
     def __post_init__(self):
@@ -131,6 +130,7 @@ class Trainer:
     ``samples`` are (x_2d, y0_3d, action) triples in model units. Each batch
     draws a fresh timestamp and diffusion noise per sample, runs a single
     denoise pass, and minimizes the mean per-sample reconstruction loss.
+    ``bank`` is None exactly when the model runs without prompts (``use_fpp``).
     """
 
     def __init__(self, model, bank, sched: NoiseSchedule, cfg: TrainConfig, seed: int):
@@ -140,7 +140,7 @@ class Trainer:
         self.cfg = cfg
         self.seed = int(seed)
         params = dict(model.trainable())
-        if bank is not None and model.config.use_fpp:
+        if bank is not None:
             params.update(bank.trainable())
         self.opt = AdamW(params, cfg)
         self.epoch = 0
@@ -148,7 +148,7 @@ class Trainer:
         self.logs: list = []
 
     def _prompt(self, action):
-        if self.bank is None or not self.model.config.use_fpp:
+        if self.bank is None:
             return None
         return self.bank.assemble(action)
 

@@ -15,10 +15,11 @@ from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.exceptions import ConfigError
 
 
-# config keys that left the schema, each with the value it used to default to
+# config keys that left the schema, each with a value it used to take
 REMOVED_KEYS = [("prompt.encoder", "hashed"), ("prompt.encoder_seed", 0),
                 ("train.adam_beta1", 0.9), ("train.adam_beta2", 0.999),
-                ("sample.rigid_only", False)]
+                ("sample.rigid_only", False), ("sample.per_frame_jpma", False),
+                ("train.max_steps", 5)]
 
 
 def tiny_cfg(**model_flags):
@@ -95,7 +96,7 @@ class TestConfig:
          ({"model": {"heads": 4.0}}, "model.heads"),
          ({"model": {"use_fpc": 1}}, "model.use_fpc"),
          ({"train": {"lr0": True}}, "train.lr0"),
-         ({"train": {"max_steps": "10"}}, "train.max_steps"),
+         ({"data": {"normalize": 1}}, "data.normalize"),
          ({"prompt": {"embeddings_file": 3}}, "prompt.embeddings_file"),
          ({"dtype": None}, "dtype"),
          ({"seed": False}, "seed")],
@@ -109,12 +110,12 @@ class TestConfig:
     def test_value_types_accepted(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({
-            "train": {"lr0": 1, "max_steps": 5},
+            "train": {"lr0": 1},
             "prompt": {"embeddings_file": "emb.ptc"},
         }))
         cfg = load_config(path)
-        assert cfg["train"]["lr0"] == 1 and cfg["train"]["max_steps"] == 5
-        assert load_config()["train"]["max_steps"] is None
+        assert cfg["train"]["lr0"] == 1 and cfg["prompt"]["embeddings_file"] == "emb.ptc"
+        assert load_config()["prompt"]["embeddings_file"] is None
 
     def test_wrong_type_exits_one(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -378,6 +379,19 @@ class TestEstimateCommand:
         p3 = tmp_path / "p3.ptc"
         run_estimate(workspace["ckpt"], workspace["data"], p3, hypotheses=2, iterations=1, seed=10)
         assert p1.read_bytes() != p3.read_bytes()
+
+    def test_per_frame_jpma_flag(self, workspace, tmp_path):
+        for flag, shape in (([], (17,)), (["--per-frame-jpma"], (8, 17))):
+            out = tmp_path / f"p{len(flag)}.ptc"
+            assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                         "--data", str(workspace["data"]), "--out", str(out),
+                         "--hypotheses", "3", "--iterations", "1", *flag]) == 0
+            tensors, meta = read_container(out)
+            assert meta["per_frame_jpma"] is bool(flag)
+            for rec in load_dataset(workspace["data"]):
+                idx = tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"]
+                assert idx.shape == shape
+                assert np.all((idx >= 0) & (idx < 3) & (idx == np.round(idx)))
 
     def test_h1_m1_fast_mode(self, workspace, tmp_path):
         out = tmp_path / "fast.ptc"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -14,7 +15,6 @@ from posediff.data import (
     PARENTS_17,
     SequenceRecord,
     denormalize_poses,
-    joint_part_map,
     load_dataset,
     normalize_keypoints,
     normalize_record,
@@ -116,6 +116,29 @@ MALFORMED_DATASET_ENTRIES = {
     "camera_cy_huge": ((1, "camera", "cy"), -1e308, r"seq001.*cy=-1e\+308"),
     "camera_fx_tiny": ((1, "camera", "fx"), 1e-300, r"seq001.*fx=1e-300"),
     "camera_fy_tiny": ((1, "camera", "fy"), 1e-300, r"seq001.*fy=1e-300"),
+    "camera_fx_negative": ((1, "camera", "fx"), -1000.0, "seq001.*focal lengths"),
+}
+
+
+def set_item(index, value):
+    """A mutation that sets ``x[index]`` on a copy of ``x``."""
+    def mutate(x):
+        x = x.copy()
+        x[index] = value
+        return x
+    return mutate
+
+
+# (record, tensor under seq/<record>/, mutation or DELETE, expected error text);
+# frames 4 and 5 of scene000/ch1 are absent
+MALFORMED_DATASET_TENSORS = {
+    "presence_missing": ("scene000/ch1", "presence", DELETE, "missing its presence tensor"),
+    "presence_short": ("scene000/ch1", "presence", lambda x: x[:-1], r"presence must be \(N,\)"),
+    "absent_frame_nonzero": ("scene000/ch1", "keypoints_2d", set_item((4, 3, 0), 1.0),
+                             "absent frames must hold exact zeros"),
+    "gt_missing": ("seq001", "gt_3d", DELETE, "missing its gt_3d tensor"),
+    "gt_wrong_shape": ("seq001", "gt_3d", lambda x: x[:, :-1], "gt_3d .* disagrees"),
+    "keypoints_missing": ("seq001", "keypoints_2d", DELETE, "has no keypoints"),
 }
 
 
@@ -369,14 +392,28 @@ class TestDatasetIO:
         assert "'seq001'" in capsys.readouterr().err
         assert list(run.iterdir()) == []
 
-    def test_presence_length_mismatch_names_record(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATASET_TENSORS))
+    def test_rejects_malformed_record_tensor(self, tmp_path, capsys, case):
         path = tmp_path / "d.ptc"
-        save_dataset(path, synth_generate_multi(2, 8, 17, seed=1))
+        records = synth_generate(2, 8, 17, seed=1) + synth_generate_multi(2, 8, 17, seed=2)
+        save_dataset(path, records)
+        sid, name, mutation, error = MALFORMED_DATASET_TENSORS[case]
         tensors, meta = read_container(path)
-        tensors["seq/scene000/ch1/presence"] = tensors["seq/scene000/ch1/presence"][:-1]
+        key = f"seq/{sid}/{name}"
+        if mutation is DELETE:
+            del tensors[key]
+        else:
+            tensors[key] = mutation(tensors[key])
         write_container(path, tensors, meta)
-        with pytest.raises(ConfigError, match="scene000/ch1.*presence"):
+        named = f"{re.escape(str(path))}: record '{sid}'"
+        with pytest.raises(ConfigError, match=f"{named}.*{error}"):
             load_dataset(path)
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--data", str(path), "--out", str(run),
+                     "--steps", "1"]) == 1
+        assert re.search(named, capsys.readouterr().err)
+        assert list(run.iterdir()) == []
 
     def test_inference_only_record(self, tmp_path):
         rec = SequenceRecord(
@@ -446,12 +483,6 @@ class TestSynth:
             synth_generate(1, 4, 4, seed=7)
         with pytest.raises(ConfigError):
             synth_generate(1, 4, 18, seed=7)
-
-    def test_part_map_clips(self):
-        parts = joint_part_map(11)
-        assert parts["head"] == [9, 10]
-        assert parts["arms"] == []
-        assert parts["legs"] == [1, 2, 3, 4, 5, 6]
 
     def test_multi_scene(self):
         recs = synth_generate_multi(3, 8, 17, seed=8)
