@@ -112,6 +112,9 @@ def _read_log(path, steps):
 
 
 def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None):
+    for flag, value in (("--steps", max_steps), ("--epochs", epochs)):
+        if value is not None and value < 1:
+            raise ConfigError(f"train {flag} must be >= 1, got {value}")
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path} (run `posediff synth` first)")
     os.makedirs(out_dir, exist_ok=True)
@@ -128,12 +131,8 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         if not os.path.exists(last_path):
             raise ConfigError(f"--resume set but {last_path} does not exist")
         tensors, meta = read_checkpoint(last_path)
-        try:
-            validate_config(meta["run_config"])
-        except ConfigError as e:
-            raise ConfigError(
-                f"checkpoint was trained with a different config, one off the schema: {e}"
-            ) from None
+        prefix = "checkpoint was trained with a different config, one off the schema: "
+        validate_config(meta["run_config"], prefix=prefix)
         if config_hash(meta["run_config"]) != runtime.hash:
             raise ConfigError(
                 "checkpoint was trained with a different config "
@@ -173,6 +172,7 @@ def _load_model(checkpoint_path):
     """The runtime of a checkpoint, built from its weights and prompt modifiers
     (its optimizer moments are not read)."""
     tensors, meta = read_checkpoint(checkpoint_path, prefixes=("weights/", "prompt/"))
+    validate_config(meta["run_config"], prefix=f"{checkpoint_path}: stored run config: ")
     return build_runtime(meta["run_config"], tensors)
 
 

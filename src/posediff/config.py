@@ -73,6 +73,21 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 _NULLABLE = {"prompt.embeddings_file": str}
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
+# each bounded key's range: (lowest, whether the lowest itself is allowed,
+# highest or None), or a tuple of choices; other keys take any value of their type
+_GE0, _GE1, _GT0 = (0, True, None), (1, True, None), (0, False, None)
+RANGES = {
+    "dtype": tuple(_DTYPES), "schedule.T": _GE1,
+    "model.feature_dim": _GE1, "model.heads": _GE1, "model.mlp_ratio": _GT0,
+    "model.blocks_spatial": _GE0, "model.blocks_temporal": _GE0,
+    "model.blocks_spatio_temporal": _GE0,
+    "data.n_frames": _GE1, "data.n_joints": (3, True, None),  # P-MPJPE aligns 3 or more
+    "data.normalize": ("root_centered", "image_normalized"),
+    "train.epochs": _GE1, "train.batch_size": _GE1, "train.checkpoint_every": _GE1,
+    "train.lr0": _GT0, "train.lr_decay": (0, False, 1), "train.weight_decay": _GE0,
+    "sample.hypotheses": _GE1, "sample.iterations": _GE1,
+}
+
 
 def _merge(base: dict, override: dict) -> dict:
     """Deep overlay of ``override`` on ``base``; ``validate_config`` judges the result."""
@@ -116,8 +131,8 @@ def load_config(path=None, preset_name: str | None = None, overrides: dict | Non
 
 
 def _schema_errors(cfg, schema: dict, path: str = "") -> list:
-    """Where ``cfg`` leaves ``schema``: each missing or unknown key, and each
-    value whose JSON type differs from its default's, by dotted path."""
+    """Where ``cfg`` leaves ``schema``: each missing or unknown key, and each value
+    of another JSON type than its default or outside its range, by dotted path."""
     if not isinstance(cfg, dict):
         return [f"config section {path or 'root'!r} must be an object"]
     errors = []
@@ -130,12 +145,12 @@ def _schema_errors(cfg, schema: dict, path: str = "") -> list:
         elif isinstance(schema[key], dict):
             errors += _schema_errors(cfg[key], schema[key], where)
         else:
-            errors += _type_errors(cfg[key], schema[key], where)
+            errors += _type_errors(cfg[key], schema[key], where) or _range_errors(cfg[key], where)
     return errors
 
 
 def _type_errors(value, default, where: str) -> list:
-    """A bool is not a number; an int stands in for a float default."""
+    """A bool is not a number, nor are NaN and Infinity; an int stands in for a float."""
     if where in _NULLABLE:
         if value is None:
             return []
@@ -144,23 +159,40 @@ def _type_errors(value, default, where: str) -> list:
         kind = type(default)
     kinds = (int, float) if kind is float else kind
     if isinstance(value, kinds) and (kind is bool or not isinstance(value, bool)):
-        return []
+        if not isinstance(value, float) or np.isfinite(value):
+            return []
     name = _TYPE_NAMES[kind] + (" or null" if where in _NULLABLE else "")
     return [f"config key {where!r} must be {name}, got {value!r}"]
 
 
-def validate_config(cfg: dict):
-    """The one judge of a config: exactly the keys of DEFAULTS, each value of
-    its default's JSON type, then the values themselves."""
+def _range_errors(value, where: str) -> list:
+    rule = RANGES.get(where)
+    if rule is None:
+        return []
+    if isinstance(rule[0], str):
+        ok, need = value in rule, f"one of {list(rule)}"
+    else:
+        low, closed, high = rule
+        ok = (value >= low if closed else value > low) and (high is None or value <= high)
+        need = f"{'>=' if closed else '>'} {low}" + ("" if high is None else f" and <= {high}")
+    return [] if ok else [f"config key {where!r} must be {need}, got {value!r}"]
+
+
+def validate_config(cfg: dict, prefix: str = ""):
+    """The one judge of a config: exactly the keys of DEFAULTS, each value of its
+    default's JSON type and in its ``RANGES`` entry, then the two rules that join
+    model values. One ``ConfigError``, led by ``prefix``, names every failure."""
     errors = _schema_errors(cfg, DEFAULTS)
+    if not errors:
+        m = cfg["model"]
+        if m["feature_dim"] % 2 or m["feature_dim"] % m["heads"]:
+            errors.append(f"config key 'model.feature_dim' must be even and a multiple of "
+                          f"model.heads ({m['heads']}), got {m['feature_dim']}")
+        if round(m["mlp_ratio"] * m["feature_dim"]) < 1:
+            errors.append(f"config key 'model.mlp_ratio' must make the MLP width "
+                          f"round(mlp_ratio * feature_dim) >= 1, got {m['mlp_ratio']!r}")
     if errors:
-        raise ConfigError("; ".join(errors))
-    if cfg["dtype"] not in _DTYPES:
-        raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {cfg['dtype']!r}")
-    if cfg["data"]["normalize"] not in ("root_centered", "image_normalized"):
-        raise ConfigError("data.normalize must be root_centered or image_normalized")
-    if cfg["sample"]["hypotheses"] < 1 or cfg["sample"]["iterations"] < 1:
-        raise ConfigError("sample.hypotheses and sample.iterations must be >= 1")
+        raise ConfigError(prefix + "; ".join(errors))
 
 
 def config_hash(cfg: dict) -> str:

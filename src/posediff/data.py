@@ -411,8 +411,6 @@ def normalize_record(
     3D absolute (scaled only). Millimeter parameters are retained so metrics
     always run in mm.
     """
-    if mode not in ("root_centered", "image_normalized"):
-        raise ConfigError(f"unknown normalization mode {mode!r}")
     if mode == "root_centered" and record.gt_3d is None:
         raise ConfigError(f"{record.seq_id}: root_centered normalization needs gt_3d")
     cam = record.camera or default_camera()

@@ -90,16 +90,6 @@ class DenoiserConfig:
     use_fpc: bool = True
     use_pts: bool = True
 
-    def __post_init__(self):
-        if self.feature_dim % self.heads != 0:
-            raise ConfigError(
-                f"feature_dim {self.feature_dim} not divisible by heads {self.heads}"
-            )
-        if self.feature_dim % 2 != 0:
-            raise ConfigError("feature_dim must be even for the sinusoidal embedding")
-        if min(self.n_frames, self.n_joints) < 1:
-            raise ConfigError("n_frames and n_joints must be >= 1")
-
     @property
     def head_dim(self):
         return self.feature_dim // self.heads

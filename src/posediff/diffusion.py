@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, ScheduleError, ShapeError
+from .exceptions import ScheduleError, ShapeError
 
 __all__ = [
     "NoiseSchedule",
@@ -51,8 +51,6 @@ def build_schedule(T: int) -> NoiseSchedule:
     """Cosine variance schedule over T timestamps: the squared-cosine
     cumulative-signal curve (offset 0.008), with betas clipped at 0.999.
     """
-    if T < 1:
-        raise ConfigError(f"schedule length T={T} must be >= 1")
     s = 0.008
     grid = np.arange(T + 1, dtype=np.float64) / T
     f = np.cos((grid + s) / (1 + s) * math.pi / 2) ** 2

@@ -71,8 +71,6 @@ class HashTextEncoder:
     """
 
     def __init__(self, embed_dim: int, seed: int = 0):
-        if embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         self.embed_dim = embed_dim
         self.seed = seed
 
@@ -125,8 +123,6 @@ class PrecomputedTextEncoder:
 
 def init_modifiers(spec: PromptSpec, embed_dim: int, seed: int) -> list:
     """Learnable modifier rows, i.i.d. Gaussian(0, 0.02), one matrix per prompt."""
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     return [
         MODIFIER_STD * gaussian((rows, embed_dim), seed, "modifier", k)
         for k, rows in enumerate(spec.modifier_rows)

@@ -47,14 +47,6 @@ class TrainConfig:
     weight_decay: float = 0.1
     checkpoint_every: int = 1
 
-    def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.checkpoint_every) < 1:
-            raise ConfigError("epochs, batch_size, checkpoint_every must be >= 1")
-        if self.lr0 <= 0 or not (0.0 < self.lr_decay <= 1.0):
-            raise ConfigError(f"bad lr0={self.lr0} or lr_decay={self.lr_decay}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay={self.weight_decay} must be >= 0")
-
 
 def mse_loss(y0, y0_hat: Tensor) -> Tensor:
     """L2 reconstruction loss: sqrt of the mean squared coordinate error."""
@@ -68,8 +60,6 @@ def mse_loss(y0, y0_hat: Tensor) -> Tensor:
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     """Learning rate at the start of `epoch`: lr0 * decay^epoch."""
-    if epoch < 0:
-        raise ConfigError(f"epoch must be >= 0, got {epoch}")
     return cfg.lr0 * cfg.lr_decay**epoch
 
 

@@ -21,6 +21,45 @@ REMOVED_KEYS = [("prompt.encoder", "hashed"), ("prompt.encoder_seed", 0),
                 ("sample.rigid_only", False), ("sample.per_frame_jpma", False),
                 ("train.max_steps", 5)]
 
+# one row per bounded config key at a first value outside its range, then the
+# rules that join two model values: (the dotted key named, the values set)
+OUT_OF_RANGE_CONFIG = [
+    ("dtype", {"dtype": "float16"}),
+    ("schedule.T", {"schedule.T": 0}),
+    ("model.feature_dim", {"model.feature_dim": 0, "model.use_fpp": False}),
+    ("model.heads", {"model.heads": 0}),
+    ("model.heads", {"model.heads": -1}),
+    ("model.blocks_spatial", {"model.blocks_spatial": -1}),
+    ("model.blocks_temporal", {"model.blocks_temporal": -1}),
+    ("model.blocks_spatio_temporal", {"model.blocks_spatio_temporal": -1}),
+    ("model.mlp_ratio", {"model.mlp_ratio": 0}),
+    ("model.mlp_ratio", {"model.mlp_ratio": -1}),
+    ("data.n_frames", {"data.n_frames": 0}),
+    ("data.n_joints", {"data.n_joints": 2}),
+    ("data.normalize", {"data.normalize": "zscore"}),
+    ("train.epochs", {"train.epochs": 0}),
+    ("train.batch_size", {"train.batch_size": 0}),
+    ("train.lr0", {"train.lr0": 0}),
+    ("train.lr_decay", {"train.lr_decay": 0}),
+    ("train.lr_decay", {"train.lr_decay": 1.5}),
+    ("train.weight_decay", {"train.weight_decay": -0.1}),
+    ("train.checkpoint_every", {"train.checkpoint_every": 0}),
+    ("sample.hypotheses", {"sample.hypotheses": 0}),
+    ("sample.iterations", {"sample.iterations": 0}),
+    ("model.feature_dim", {"model.feature_dim": 63, "model.heads": 1}),  # odd
+    ("model.feature_dim", {"model.feature_dim": 10, "model.heads": 4}),  # heads don't divide it
+    ("model.mlp_ratio", {"model.mlp_ratio": 0.005}),  # MLP width round(0.32) = 0
+]
+
+
+def nested(values):
+    """Dotted keys to a config overlay: {"model.heads": 0} -> {"model": {"heads": 0}}."""
+    out = {}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[name] = value
+    return out
+
 
 def tiny_cfg(**model_flags):
     cfg = load_config(None, "tiny")
@@ -41,6 +80,13 @@ def workspace(tmp_path_factory):
     ckpt, trainer = run_train(cfg, data, root / "run", max_steps=8, epochs=10**6)
     pred = run_estimate(ckpt, data, root / "pred.ptc", hypotheses=2, iterations=2, seed=4)
     return {"root": root, "data": data, "ckpt": ckpt, "pred": pred, "trainer": trainer}
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """A dataset of the tiny preset's shape (16 frames, 17 joints)."""
+    data = tmp_path_factory.mktemp("tiny") / "data.ptc"
+    return run_synth(data, n_sequences=2, n_frames=16, n_joints=17, seed=2, motion="walk_cycle")
 
 
 def write_embeddings(path, dim=32):
@@ -99,7 +145,9 @@ class TestConfig:
          ({"data": {"normalize": 1}}, "data.normalize"),
          ({"prompt": {"embeddings_file": 3}}, "prompt.embeddings_file"),
          ({"dtype": None}, "dtype"),
-         ({"seed": False}, "seed")],
+         ({"seed": False}, "seed"),
+         ({"model": {"mlp_ratio": float("inf")}}, "model.mlp_ratio"),
+         ({"train": {"weight_decay": float("nan")}}, "train.weight_decay")],
     )
     def test_value_of_wrong_json_type_rejected(self, tmp_path, override, key):
         path = tmp_path / "bad.json"
@@ -134,6 +182,31 @@ class TestConfig:
                      str(tmp_path / "d.ptc"), "--out", str(tmp_path / "run")]) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, values", OUT_OF_RANGE_CONFIG,
+        ids=[",".join(f"{k}={v}" for k, v in values.items()) for _, values in OUT_OF_RANGE_CONFIG],
+    )
+    def test_out_of_range_value_exits_one(self, tmp_path, capsys, tiny_data, key, values):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(nested(values)))
+        with pytest.raises(ConfigError, match=f"config key {re.escape(repr(key))} must "):
+            load_config(config, "tiny")
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data",
+                     str(tiny_data), "--out", str(run), "--steps", "1"]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_every_bad_value_is_named(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(nested(
+            {"dtype": "float16", "model.heads": 0, "train.epochs": 0}
+        )))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert all(k in str(err.value) for k in ("'dtype'", "'model.heads'", "'train.epochs'"))
 
     def test_hash_stable_and_sensitive(self):
         a, b = default_config(), default_config()
@@ -204,6 +277,15 @@ class TestTrainCommand:
             rows = list(csv.DictReader(f))
         assert len(rows) == workspace["trainer"].opt.step_count == 8
         assert [r["step"] for r in rows] == [str(i) for i in range(1, 9)]
+
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--steps", "-5")])
+    def test_step_flag_below_one_exits_one(self, tmp_path, capsys, tiny_data, flag, value):
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["train", "--preset", "tiny", "--data", str(tiny_data), "--out", str(run),
+                     flag, value]) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="synth"):
@@ -453,7 +535,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("model.heads", None), ("schedule.T", None), ("sample.deterministic", None),
-         ("schedule.kind", "cosine"), ("train.bogus", 1), *REMOVED_KEYS],
+         ("schedule.kind", "cosine"), ("train.bogus", 1), *REMOVED_KEYS,
+         ("model.heads", 0), ("train.epochs", 0)],
     )
     def test_stored_config_off_schema_is_config_error(self, workspace, tmp_path, capsys,
                                                       key, value):
@@ -469,7 +552,8 @@ class TestEstimateCommand:
         out = tmp_path / "p.ptc"
         assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
                      "--out", str(out), "--hypotheses", "1", "--iterations", "1"]) == 1
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{ckpt}: stored run config" in err and repr(key) in err
         assert not out.exists()
 
     def test_load_model_draws_no_seeded_weights(self, workspace, monkeypatch):

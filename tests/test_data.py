@@ -543,8 +543,3 @@ class TestNormalize:
             normalize_record(rec, "root_centered")
         norm, _ = normalize_record(rec, "image_normalized")
         assert norm.gt_3d is None
-
-    def test_unknown_mode(self):
-        rec = synth_generate(1, 4, 17, seed=14)[0]
-        with pytest.raises(ConfigError):
-            normalize_record(rec, "zscore")

@@ -42,10 +42,6 @@ def setup():
 
 
 class TestConfig:
-    def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            tiny_config(feature_dim=10, heads=4)
-
     def test_default_block_counts(self):
         cfg = DenoiserConfig(n_frames=4, n_joints=5, feature_dim=16, heads=2)
         assert (cfg.blocks_spatial, cfg.blocks_temporal, cfg.blocks_spatio_temporal) == (1, 1, 3)

@@ -12,7 +12,7 @@ from posediff.diffusion import (
     forward_diffuse,
     timestamp_for_iteration,
 )
-from posediff.exceptions import ConfigError, ScheduleError, ShapeError
+from posediff.exceptions import ScheduleError, ShapeError
 from posediff.rng import gaussian
 
 
@@ -42,10 +42,6 @@ class TestBuildSchedule:
         f = np.cos((grid + 0.008) / 1.008 * math.pi / 2) ** 2
         np.testing.assert_allclose(s.alpha_bar[:-1], f[:-1] / f[0], rtol=1e-12)
         assert s.alpha_bar[-1] == pytest.approx(0.001 * s.alpha_bar[-2], rel=1e-12)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ConfigError):
-            build_schedule(0)
 
     def test_tables_immutable(self):
         s = make_linear(4, 0.1, 0.2)
