@@ -15,6 +15,7 @@ import csv
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -48,12 +49,28 @@ def _fmt(v: float) -> str:
     return f"{v:.9f}"
 
 
+def _check_floors(command, flags):
+    """Reject the first flag set below its floor; ``flags`` holds (flag, value, floor)."""
+    for flag, value, floor in flags:
+        if value is not None and value < floor:
+            raise ConfigError(f"{command} {flag} must be >= {floor}, got {value}")
+
+
+@contextmanager
+def _naming(path):
+    """Lead each ConfigError raised inside with ``path``, the file it judged."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 # -- synth -----------------------------------------------------------------------
 
 
 def run_synth(out_path, n_sequences, n_frames, n_joints, seed, motion, characters=0):
-    if min(n_sequences, n_frames) < 1:
-        raise ConfigError(f"--sequences {n_sequences} and --frames {n_frames} must be >= 1")
+    _check_floors("synth", (("--sequences", n_sequences, 1), ("--frames", n_frames, 1),
+                            ("--characters", characters, 0)))
     records = synth_generate(n_sequences, n_frames, n_joints, seed, motion)
     if characters:
         records += synth_generate_multi(characters, n_frames, n_joints, seed + 1, motion)
@@ -112,12 +129,9 @@ def _read_log(path, steps):
 
 
 def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None):
-    for flag, value in (("--steps", max_steps), ("--epochs", epochs)):
-        if value is not None and value < 1:
-            raise ConfigError(f"train {flag} must be >= 1, got {value}")
+    _check_floors("train", (("--steps", max_steps, 1), ("--epochs", epochs, 1)))
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path} (run `posediff synth` first)")
-    os.makedirs(out_dir, exist_ok=True)
     runtime = build_runtime(cfg)
     records = load_dataset(data_path)
     if not records:
@@ -131,15 +145,17 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         if not os.path.exists(last_path):
             raise ConfigError(f"--resume set but {last_path} does not exist")
         tensors, meta = read_checkpoint(last_path)
-        prefix = "checkpoint was trained with a different config, one off the schema: "
-        validate_config(meta["run_config"], prefix=prefix)
-        if config_hash(meta["run_config"]) != runtime.hash:
-            raise ConfigError(
-                "checkpoint was trained with a different config "
-                f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
-            )
-        restore_trainer(trainer, tensors, meta, len(samples))
+        with _naming(last_path):
+            prefix = "checkpoint was trained with a different config, one off the schema: "
+            validate_config(meta["run_config"], prefix=prefix)
+            if config_hash(meta["run_config"]) != runtime.hash:
+                raise ConfigError(
+                    "checkpoint was trained with a different config "
+                    f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
+                )
+            restore_trainer(trainer, tensors, meta, len(samples))
         trainer.logs = _read_log(log_path, trainer.opt.step_count)
+    os.makedirs(out_dir, exist_ok=True)
 
     def save(*names):
         # the log first: a checkpoint never holds steps its log lacks
@@ -160,8 +176,6 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
             save("ckpt_last.ptc")
         elif trainer.epoch % every == 0 or trainer.epoch == target_epochs or done():
             save(f"ckpt_epoch{trainer.epoch:05d}.ptc", "ckpt_last.ptc")
-    if not os.path.exists(last_path):
-        save("ckpt_last.ptc")
     return last_path, trainer
 
 
@@ -172,8 +186,9 @@ def _load_model(checkpoint_path):
     """The runtime of a checkpoint, built from its weights and prompt modifiers
     (its optimizer moments are not read)."""
     tensors, meta = read_checkpoint(checkpoint_path, prefixes=("weights/", "prompt/"))
-    validate_config(meta["run_config"], prefix=f"{checkpoint_path}: stored run config: ")
-    return build_runtime(meta["run_config"], tensors)
+    with _naming(checkpoint_path):
+        validate_config(meta["run_config"], prefix="stored run config: ")
+        return build_runtime(meta["run_config"], tensors)
 
 
 def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
@@ -214,6 +229,7 @@ def run_estimate(
         raise ConfigError(f"output directory {out_dir} does not exist")
     if os.path.isdir(out_path):
         raise ConfigError(f"--out {out_path} is a directory, not a predictions file")
+    _check_floors("estimate", (("--hypotheses", hypotheses, 1), ("--iterations", iterations, 1)))
     runtime = _load_model(checkpoint_path)
     cfg = runtime.cfg
     H = hypotheses if hypotheses is not None else cfg["sample"]["hypotheses"]
@@ -461,7 +477,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except ConfigError as e:
+    except (ConfigError, MemoryError) as e:  # MemoryError: a config too big for memory
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PoseDiffError as e:

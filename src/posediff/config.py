@@ -230,9 +230,8 @@ class Runtime:
             if path is not None:
                 encoder = PrecomputedTextEncoder(path)
                 if encoder.embed_dim != m["feature_dim"]:
-                    raise ConfigError(
-                        f"embedding file dim {encoder.embed_dim} != model dim {m['feature_dim']}"
-                    )
+                    raise ConfigError(f"{path}: embedding file dim {encoder.embed_dim} "
+                                      f"!= model dim {m['feature_dim']}")
             else:
                 encoder = HashTextEncoder(m["feature_dim"])
             self.bank = PromptBank(

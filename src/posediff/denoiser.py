@@ -314,9 +314,7 @@ class Denoiser:
 
     def mhsa_block(self, f: Tensor, axis: str, block: str, attn_sink=None) -> Tensor:
         """One transformer block; ``axis`` picks joint-wise or frame-wise attention."""
-        seq_axis = {"spatial": 1, "temporal": 0}.get(axis)
-        if seq_axis is None:
-            raise ConfigError(f"unknown attention axis {axis!r}")
+        seq_axis = {"spatial": 1, "temporal": 0}[axis]
         if seq_axis == 0 and _grad_enabled():
             # a recorded graph keeps the frame-major operand layout: the
             # stacked-GEMM gradient sums, and so training's rounding, depend on it

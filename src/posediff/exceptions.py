@@ -22,9 +22,5 @@ class ScheduleError(PoseDiffError):
     """Timestamp out of range, degenerate alpha_bar, or inconsistent schedule."""
 
 
-class EncodingError(PoseDiffError):
-    """Text encoder produced fewer tokens than a prompt needs."""
-
-
 class NumericsError(PoseDiffError):
     """Non-finite values, degenerate depths, or failed alignments."""

@@ -88,9 +88,7 @@ class EstimateResult:
 
 
 def sample_initial_hypotheses(H: int, n_frames: int, n_joints: int, seed: int) -> HypothesisSet:
-    """H unit-Gaussian pose tensors, stream-split per hypothesis index."""
-    if H < 1:
-        raise ConfigError(f"hypothesis count must be >= 1, got {H}")
+    """H >= 1 unit-Gaussian pose tensors, stream-split per hypothesis index."""
     hyps = np.stack(
         [gaussian((n_frames, n_joints, 3), seed, "hypothesis", h) for h in range(H)]
     )
@@ -107,7 +105,7 @@ def ddim_loop(
     seed: int,
     deterministic: bool = True,
 ) -> HypothesisSet:
-    """Refine every hypothesis with M denoise/step iterations.
+    """Refine every hypothesis with M >= 1 denoise/step iterations.
 
     Iteration m denoises the whole (H, N, J, 3) stack in one ``denoise_fn``
     call at the current timestamp (starting at T) and steps every hypothesis
@@ -116,8 +114,6 @@ def ddim_loop(
     exactly). Stochastic steps draw hypothesis h's noise from (``seed``,
     "ddim", h, m). A non-finite denoiser output raises ``NumericsError``.
     """
-    if M < 1:
-        raise ConfigError(f"iteration count must be >= 1, got {M}")
     y = hyp.hypotheses
     t_cur = sched.T
     for m in range(1, M + 1):

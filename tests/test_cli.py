@@ -51,6 +51,33 @@ OUT_OF_RANGE_CONFIG = [
     ("model.mlp_ratio", {"model.mlp_ratio": 0.005}),  # MLP width round(0.32) = 0
 ]
 
+# one row per way a checkpoint can be malformed: (the tensor, meta key or dotted
+# config key damaged, how, the value set, what the error names besides the file,
+# the commands that read it); "resume" is ``train --resume``
+MALFORMED_CHECKPOINT = [
+    ("weights/head/w", "drop", None, "'weights/head/w'", ("estimate", "resume")),
+    ("weights/head/w", "shape", None, "'weights/head/w'", ("estimate", "resume")),
+    ("prompt/0/modifier", "drop", None, "'prompt/0/modifier'", ("estimate", "resume")),
+    ("prompt/0/modifier", "shape", None, "'prompt/0/modifier'", ("estimate", "resume")),
+    ("opt/m/head/w", "drop", None, "'opt/m/head/w'", ("resume",)),
+    ("epoch", "meta", -1, "'epoch'", ("resume",)),
+    ("model.heads", "config", None, "'model.heads'", ("resume",)),  # off the schema
+    ("train.lr0", "config", 1.0, "different config", ("resume",)),  # another hash
+]
+CHECKPOINT_CASES = [(command, *row[:4]) for row in MALFORMED_CHECKPOINT for command in row[4]]
+
+# one row per way an embeddings file can be malformed: (what is wrong, what the
+# error names besides the file); the model is the tiny preset's, 64 wide
+MALFORMED_EMBEDDINGS = [
+    ("missing_file", "file not found"),
+    ("texts_list", "meta.texts"),
+    ("text_int", "'prompt/0/frozen'"),
+    ("entry_3xD", "'prompt/2/frozen'"),
+    ("two_widths", "inconsistent"),
+    ("no_entries", "no prompt embeddings"),
+    ("width_16", "dim 16"),
+]
+
 
 def nested(values):
     """Dotted keys to a config overlay: {"model.heads": 0} -> {"model": {"heads": 0}}."""
@@ -278,14 +305,30 @@ class TestTrainCommand:
         assert len(rows) == workspace["trainer"].opt.step_count == 8
         assert [r["step"] for r in rows] == [str(i) for i in range(1, 9)]
 
-    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--steps", "-5")])
-    def test_step_flag_below_one_exits_one(self, tmp_path, capsys, tiny_data, flag, value):
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--steps", "-5"),
+                                             ("--hypotheses", "0"), ("--iterations", "-2"),
+                                             ("--characters", "-1")])
+    def test_step_flag_below_one_exits_one(self, tmp_path, capsys, monkeypatch, tiny_data,
+                                           flag, value):
+        """A count flag below its floor is judged before anything is read or
+        written: the estimate flags before the checkpoint loads."""
+        from posediff import cli
+
+        def refuse(path):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr(cli, "_load_model", refuse)
+        estimate = ["estimate", "--checkpoint", str(tmp_path / "ckpt.ptc"),
+                    "--data", str(tiny_data)]
+        command, floor = {
+            "--hypotheses": (estimate, 1), "--iterations": (estimate, 1),
+            "--characters": (["synth"], 0),
+        }.get(flag, (["train", "--preset", "tiny", "--data", str(tiny_data)], 1))
+        out = tmp_path / "out"
         capsys.readouterr()
-        run = tmp_path / "run"
-        assert main(["train", "--preset", "tiny", "--data", str(tiny_data), "--out", str(run),
-                     flag, value]) == 1
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
-        assert not run.exists()
+        assert main(command + ["--out", str(out), flag, value]) == 1
+        assert f"{flag} must be >= {floor}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="synth"):
@@ -913,6 +956,71 @@ class TestPlotCommand:
         assert list(out.iterdir()) == []
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "command, key, how, value, named", CHECKPOINT_CASES,
+        ids=[f"{c}-{k}-{h}" for c, k, h, _, _ in CHECKPOINT_CASES],
+    )
+    def test_checkpoint_error_names_file(self, workspace, tmp_path, capsys, command, key, how,
+                                         value, named):
+        if command == "estimate":
+            ckpt = tmp_path / "ckpt.ptc"
+            tensors, meta = read_container(workspace["ckpt"])
+            args = ["estimate", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                    "--out", str(tmp_path / "p.ptc")]
+        else:
+            args, ckpt = TestTrainCommand.one_step_run(tmp_path)
+            tensors, meta = read_container(ckpt)
+            args += ["--resume", "--steps", "2"]
+        if how == "drop":
+            del tensors[key]
+        elif how == "shape":
+            tensors[key] = tensors[key][:-1]
+        elif how == "meta":
+            meta[key] = value
+        else:
+            section, name = key.split(".")
+            if value is None:
+                del meta["run_config"][section][name]
+            else:
+                meta["run_config"][section][name] = value
+        write_container(ckpt, tensors, meta)
+        written = {p.name: p.read_bytes() for p in ckpt.parent.iterdir()}
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: " in err and named in err
+        assert {p.name: p.read_bytes() for p in ckpt.parent.iterdir()} == written
+
+    @pytest.mark.parametrize("damage, named", MALFORMED_EMBEDDINGS,
+                             ids=[d for d, _ in MALFORMED_EMBEDDINGS])
+    def test_embeddings_error_names_file(self, tmp_path, capsys, tiny_data, damage, named):
+        emb = tmp_path / "emb.ptc"
+        if damage != "missing_file":
+            dim = 16 if damage == "width_16" else 64
+            tensors, meta = read_container(write_embeddings(emb, dim))
+            if damage == "texts_list":
+                meta["texts"] = list(meta["texts"].values())
+            elif damage == "text_int":
+                meta["texts"]["prompt/0"] = 7
+            elif damage == "entry_3xD":
+                tensors["prompt/2/frozen"] = tensors["prompt/2/frozen"][:3]
+            elif damage == "two_widths":
+                tensors["prompt/6/frozen"] = tensors["prompt/6/frozen"][:, :16]
+            elif damage == "no_entries":
+                tensors, meta = {}, {"texts": {}}
+            write_container(emb, tensors, meta)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"prompt": {"embeddings_file": str(emb)}}))
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data", str(tiny_data),
+                     "--out", str(run), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert str(emb) in err and named in err
+        assert not run.exists()
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "d.ptc"), "--sequences", "1",
@@ -943,6 +1051,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_synth", boom)
         rc = main(["synth", "--out", str(tmp_path / "d.ptc")])
         assert rc == 2
+
+    def test_out_of_memory_is_one(self, monkeypatch, tmp_path, capsys, tiny_data):
+        from posediff import config
+
+        def too_big(T):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                              "(10000000000001,) and data type float64")
+
+        monkeypatch.setattr(config, "build_schedule", too_big)
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--data", str(tiny_data),
+                     "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "72.8 TiB" in err
+        assert not run.exists()
 
 
 class TestAblationPlumbing:

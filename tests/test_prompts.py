@@ -5,7 +5,7 @@ import pytest
 
 from posediff.autodiff import Tensor
 from posediff.container import write_container
-from posediff.exceptions import ConfigError, EncodingError, ShapeError
+from posediff.exceptions import ConfigError
 from posediff.prompts import (
     FROZEN_ROWS,
     HashTextEncoder,
@@ -31,12 +31,6 @@ class TestPromptSpec:
 
     def test_modifier_rows_total(self):
         assert sum(PromptSpec().modifier_rows) == 77 - 28
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            PromptSpec(token_budget=(7, 12, 10, 10, 10, 14, 13))
-        with pytest.raises(ConfigError):
-            PromptSpec(token_budget=(4, 15, 10, 10, 10, 14, 14))
 
     def test_with_action(self):
         spec = PromptSpec().with_action("walk_cycle")
@@ -77,16 +71,6 @@ class TestEncodeTexts:
         blocks = encode_texts(PromptSpec(), TenTokenEncoder())
         assert all(b.shape == (4, 6) for b in blocks)
         np.testing.assert_array_equal(blocks[0], np.arange(24).reshape(4, 6))
-
-    def test_short_encoder_raises_naming_prompt(self):
-        class ShortEncoder:
-            embed_dim = 6
-
-            def encode(self, text):
-                return np.zeros((2, 6))
-
-        with pytest.raises(EncodingError, match="person"):
-            encode_texts(PromptSpec(), ShortEncoder())
 
     def test_action_changes_only_slot_two(self):
         enc = HashTextEncoder(8, seed=0)
@@ -166,11 +150,6 @@ class TestAssemble:
         names = sorted(bank.trainable())
         assert names == [f"prompt/{k}/modifier" for k in range(7)]
         assert all(isinstance(v, Tensor) for v in bank.trainable().values())
-
-    def test_dimension_mismatch_raises(self):
-        bank = PromptBank(PromptSpec(), stub_encoder(8, lambda text: np.zeros((4, 6))))
-        with pytest.raises(ShapeError, match="modifier dim"):
-            bank.assemble("motion")
 
 
 class TestPrecomputedEncoder:

@@ -69,10 +69,6 @@ class TestSampleInitialHypotheses:
         se = np.sqrt(2.0 / (10_000 - 1))
         assert np.all(np.abs(flat.var(axis=0, ddof=1) - 1.0) < 3 * se)
 
-    def test_invalid_count(self):
-        with pytest.raises(ConfigError):
-            sample_initial_hypotheses(0, 2, 2, seed=0)
-
 
 class TestDdimLoop:
     def test_m1_single_denoise_at_T(self):
