@@ -30,9 +30,10 @@ from .data import (
     synth_generate,
     synth_generate_multi,
 )
-from .exceptions import ConfigError, PoseDiffError
-from .metrics import REPORT_METRICS, compute_report
+from .exceptions import ConfigError, NumericsError, PoseDiffError
+from .metrics import REPORT_METRICS, coincident_frames, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
+from .prompts import prompt_for
 from .sampler import character_seed, default_camera, estimate_single, reproject, scene_seed
 from .training import (
     StepLog,
@@ -54,6 +55,15 @@ def _check_floors(command, flags):
     for flag, value, floor in flags:
         if value is not None and value < floor:
             raise ConfigError(f"{command} {flag} must be >= {floor}, got {value}")
+
+
+def _check_out_dir(out_dir):
+    """Reject an ``--out`` directory that an existing file stands in the place of."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out_dir} cannot be a directory: {path} is a file")
 
 
 @contextmanager
@@ -130,29 +140,22 @@ def _read_log(path, steps):
 
 def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None):
     _check_floors("train", (("--steps", max_steps, 1), ("--epochs", epochs, 1)))
+    _check_out_dir(out_dir)
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path} (run `posediff synth` first)")
-    runtime = build_runtime(cfg)
+    last_path = os.path.join(out_dir, "ckpt_last.ptc")
+    log_path = os.path.join(out_dir, "log.csv")
+    if resume and not os.path.exists(last_path):
+        raise ConfigError(f"--resume set but {last_path} does not exist")
+    runtime = _load_model(last_path, cfg) if resume else build_runtime(cfg)
     records = load_dataset(data_path)
     if not records:
         raise ConfigError(f"dataset {data_path} holds no sequences")
     samples = _training_samples(records, runtime)
     trainer = Trainer(runtime.model, runtime.bank, runtime.sched, runtime.train_config, cfg["seed"])
-
-    last_path = os.path.join(out_dir, "ckpt_last.ptc")
-    log_path = os.path.join(out_dir, "log.csv")
     if resume:
-        if not os.path.exists(last_path):
-            raise ConfigError(f"--resume set but {last_path} does not exist")
-        tensors, meta = read_checkpoint(last_path)
+        tensors, meta = read_checkpoint(last_path, prefixes=("opt/",))
         with _naming(last_path):
-            prefix = "checkpoint was trained with a different config, one off the schema: "
-            validate_config(meta["run_config"], prefix=prefix)
-            if config_hash(meta["run_config"]) != runtime.hash:
-                raise ConfigError(
-                    "checkpoint was trained with a different config "
-                    f"(hash {config_hash(meta['run_config'])} != {runtime.hash})"
-                )
             restore_trainer(trainer, tensors, meta, len(samples))
         trainer.logs = _read_log(log_path, trainer.opt.step_count)
     os.makedirs(out_dir, exist_ok=True)
@@ -182,13 +185,19 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
 # -- estimate --------------------------------------------------------------------
 
 
-def _load_model(checkpoint_path):
+def _load_model(checkpoint_path, run_cfg=None):
     """The runtime of a checkpoint, built from its weights and prompt modifiers
-    (its optimizer moments are not read)."""
+    (its optimizer moments are not read). ``train --resume`` passes the config
+    it runs under as ``run_cfg``, which the stored config must equal."""
     tensors, meta = read_checkpoint(checkpoint_path, prefixes=("weights/", "prompt/"))
+    stored = meta["run_config"]
     with _naming(checkpoint_path):
-        validate_config(meta["run_config"], prefix="stored run config: ")
-        return build_runtime(meta["run_config"], tensors)
+        validate_config(stored, prefix="stored run config: " if run_cfg is None else
+                        "checkpoint was trained with a different config, one off the schema: ")
+        if run_cfg is not None and config_hash(stored) != config_hash(run_cfg):
+            raise ConfigError("checkpoint was trained with a different config "
+                              f"(hash {config_hash(stored)} != {config_hash(run_cfg)})")
+        return build_runtime(stored, tensors)
 
 
 def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
@@ -204,7 +213,7 @@ def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
         seed = scene_seed(base_seed, rec.seq_id)
     cam = rec.camera or default_camera()
     norm, params = normalize_record(rec, cfg["data"]["normalize"])
-    prompt = runtime.prompt_for(rec.action)
+    prompt = prompt_for(runtime.bank, rec.action)
     x_norm = norm.keypoints_2d.astype(runtime.dtype)
     denoise_fn = partial(runtime.model.denoise_array, prompt=prompt)  # the model casts yt
     return estimate_single(
@@ -241,10 +250,10 @@ def run_estimate(
     results = [_estimate_record(rec, runtime, H, M, base_seed, per_frame) for rec in records]
 
     tensors, cam_notes = {}, {}
-    for rec, res in zip(records, results):
+    for rec, (poses, index) in zip(records, results):
         base = f"pred/{rec.seq_id}"
-        tensors[f"{base}/poses"] = res.poses
-        tensors[f"{base}/per_joint_hypothesis_index"] = res.hypothesis_index.astype(np.float64)
+        tensors[f"{base}/poses"] = poses
+        tensors[f"{base}/per_joint_hypothesis_index"] = index.astype(np.float64)
         if rec.presence is not None:
             tensors[f"{base}/presence"] = rec.presence.astype(np.float64)
         cam = rec.camera or default_camera()
@@ -269,24 +278,27 @@ def run_estimate(
 def _read_predictions(pred_path):
     tensors, meta = read_container(pred_path)
     if meta.get("kind") != "predictions":
-        raise ConfigError(f"{pred_path}: not a predictions container")
+        raise ConfigError(f"{pred_path}: not a predictions container (kind={meta.get('kind')!r})")
     return tensors
 
 
-def _scored_frames(rec, pred):
-    """The frame mask that ``rec`` is scored over: the frames its character is in.
-    ``pred``, its predicted poses, must have the shape of its ground truth."""
+def _judged_poses(pred_path, pred_tensors, rec):
+    """``rec``'s predicted poses from ``pred_path``, which must have the shape of
+    its ground truth, and the frame mask they are scored over: the frames its
+    character is in."""
     if rec.gt_3d is None:
         raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
+    pred = pred_tensors.get(f"pred/{rec.seq_id}/poses")
+    if pred is None:
+        raise ConfigError(f"{pred_path} has no prediction for {rec.seq_id!r}")
     if pred.shape != rec.gt_3d.shape:
-        raise ConfigError(
-            f"record {rec.seq_id!r} has {rec.gt_3d.shape} ground truth but {pred.shape} poses"
-        )
+        raise ConfigError(f"{pred_path}: record {rec.seq_id!r} has {rec.gt_3d.shape} "
+                          f"ground truth but {pred.shape} poses")
     if rec.presence is None:
-        return np.ones(rec.n_frames, bool)
+        return pred, np.ones(rec.n_frames, bool)
     if not rec.presence.any():
         raise ConfigError(f"record {rec.seq_id!r} has no present frame to evaluate")
-    return rec.presence
+    return pred, rec.presence
 
 
 def _write_per_joint(path, errors):
@@ -299,7 +311,7 @@ def _write_per_joint(path, errors):
                 w.writerow([sid, j, _fmt(err)])
 
 
-def _pair_predictions(pred_tensors, records):
+def _pair_predictions(pred_path, pred_tensors, records):
     # multi-human ids look like "scene000/ch1", so strip fixed affixes only
     pred_ids = {
         name[len("pred/") : -len("/poses")]
@@ -311,26 +323,30 @@ def _pair_predictions(pred_tensors, records):
     orphans = sorted(pred_ids - rec_ids)
     if missing or orphans:
         raise ConfigError(
-            f"prediction/dataset id mismatch: missing predictions for {missing}, "
+            f"{pred_path}: prediction/dataset id mismatch: missing predictions for {missing}, "
             f"predictions without records {orphans}"
         )
 
 
 def run_eval(pred_path, data_path, out_dir, rigid_only=False):
     """Score predictions; ``rigid_only`` aligns P-MPJPE without scale."""
-    os.makedirs(out_dir, exist_ok=True)
+    _check_out_dir(out_dir)
     pred_tensors = _read_predictions(pred_path)
     records = load_dataset(data_path)
-    _pair_predictions(pred_tensors, records)
+    _pair_predictions(pred_path, pred_tensors, records)
 
     pairs, per_joint = [], []
     for rec in sorted(records, key=lambda r: r.seq_id):
-        pred = pred_tensors[f"pred/{rec.seq_id}/poses"]
-        mask = _scored_frames(rec, pred)
+        pred, mask = _judged_poses(pred_path, pred_tensors, rec)
+        flat = np.flatnonzero(mask)[coincident_frames(pred[mask])]
+        if flat.size:
+            raise ConfigError(f"{pred_path}: record {rec.seq_id!r} frame {flat[0]}: all joints "
+                              "coincide, so P-MPJPE cannot align it")
         pairs.append((rec.seq_id, rec.action, pred[mask], rec.gt_3d[mask]))
         per_joint.append((rec.seq_id, per_joint_error_rows(pred, rec.gt_3d, mask)))
 
     rows = compute_report(pairs, rigid_only=rigid_only)
+    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.csv")
     with open(report_path, "w", newline="") as f:
         w = csv.writer(f)
@@ -346,19 +362,19 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=False):
 
 
 def run_plot(pred_path, data_path, seq_id, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    _check_out_dir(out_dir)
     pred_tensors = _read_predictions(pred_path)
     records = {r.seq_id: r for r in load_dataset(data_path)}
     if seq_id not in records:
         raise ConfigError(f"unknown sequence id {seq_id!r}; dataset has {sorted(records)}")
-    key = f"pred/{seq_id}/poses"
-    if key not in pred_tensors:
-        raise ConfigError(f"{pred_path} has no prediction for {seq_id!r}")
     rec = records[seq_id]
-    pred = pred_tensors[key]
-    mask = _scored_frames(rec, pred)
-    pred_2d = reproject(pred, rec.camera or default_camera())
+    pred, mask = _judged_poses(pred_path, pred_tensors, rec)
+    try:
+        pred_2d = reproject(pred, rec.camera or default_camera())
+    except NumericsError as e:  # a depth at or behind the camera
+        raise ConfigError(f"{pred_path}: record {seq_id!r}: {e}") from None
     svg = skeleton_svg(pred_2d, rec.keypoints_2d, title=f"{seq_id} ({rec.action})")
+    os.makedirs(out_dir, exist_ok=True)
     stem = seq_id.replace("/", "_")
     svg_path = os.path.join(out_dir, f"{stem}.svg")
     with open(svg_path, "w") as f:

@@ -21,9 +21,7 @@ from .exceptions import ConfigError
 from .prompts import HashTextEncoder, PrecomputedTextEncoder, PromptBank, PromptSpec
 from .training import TrainConfig, checkpoint_weights, restore_modifiers
 
-__all__ = [
-    "default_config", "preset", "load_config", "validate_config", "config_hash", "build_runtime"
-]
+__all__ = ["preset", "load_config", "validate_config", "config_hash", "build_runtime"]
 
 DEFAULTS = {
     "seed": 0,
@@ -100,10 +98,6 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULTS)
-
-
 def preset(name: str) -> dict:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -111,8 +105,8 @@ def preset(name: str) -> dict:
 
 
 def load_config(path=None, preset_name: str | None = None, overrides: dict | None = None) -> dict:
-    """Preset (or defaults), overlaid with a JSON file, overlaid with overrides."""
-    cfg = preset(preset_name) if preset_name else default_config()
+    """A preset (``paper`` if none is named), overlaid with a JSON file, then overrides."""
+    cfg = preset(preset_name or "paper")
     if path is not None:
         try:
             with open(path) as f:
@@ -240,11 +234,6 @@ class Runtime:
             if checkpoint is not None:
                 restore_modifiers(self.bank, checkpoint)
         self.train_config = TrainConfig(**cfg["train"])
-
-    def prompt_for(self, action: str | None):
-        if self.bank is None:
-            return None
-        return self.bank.assemble(action)
 
 
 def build_runtime(cfg: dict, checkpoint: dict | None = None) -> Runtime:

@@ -190,7 +190,9 @@ def sinusoid_embedding(t: float, dim: int) -> np.ndarray:
 
 
 class Denoiser:
-    """Denoiser network over a named weight map.
+    """Denoiser network over a named weight map, one array per entry of
+    ``weight_shapes(config)``: ``init_denoiser_weights`` seeds such a map, and
+    ``training.checkpoint_weights`` judges a checkpoint's against it.
 
     Forward passes are pure functions of (inputs, weights): the hypotheses
     of one ``denoise`` call may run concurrently against one weight snapshot,
@@ -199,20 +201,7 @@ class Denoiser:
 
     def __init__(self, config: DenoiserConfig, weights: dict):
         self.config = config
-        expected = weight_shapes(config)
-        if set(weights) != set(expected):
-            missing = sorted(set(expected) - set(weights))
-            extra = sorted(set(weights) - set(expected))
-            raise ConfigError(f"weight map mismatch: missing={missing} extra={extra}")
-        self.weights = {
-            name: w if isinstance(w, Tensor) else Tensor(w, requires_grad=True)
-            for name, w in weights.items()
-        }
-        for name, w in self.weights.items():
-            if tuple(w.shape) != tuple(expected[name]):
-                raise ShapeError(
-                    f"weight {name!r}: shape {w.shape}, expected {expected[name]}"
-                )
+        self.weights = {name: Tensor(w, requires_grad=True) for name, w in weights.items()}
         self.dtype = self.weights["head/w"].data.dtype
 
     @classmethod

@@ -14,6 +14,7 @@ from .exceptions import NumericsError, ShapeError
 
 __all__ = [
     "mpjpe",
+    "coincident_frames",
     "procrustes_align",
     "p_mpjpe",
     "pck",
@@ -54,8 +55,6 @@ def _align_frame(p: np.ndarray, g: np.ndarray, rigid_only: bool) -> np.ndarray:
     pc = p - mu_p
     gc = g - mu_g
     var_p = (pc**2).sum()
-    if var_p < 1e-12:
-        raise NumericsError("degenerate frame: all joints coincide")
     cov = pc.T @ gc  # 3x3 cross-covariance
     u, s, vt = np.linalg.svd(cov)
     d = np.sign(np.linalg.det(vt.T @ u.T))
@@ -67,11 +66,22 @@ def _align_frame(p: np.ndarray, g: np.ndarray, rigid_only: bool) -> np.ndarray:
     return scale * pc @ rot.T + mu_g
 
 
+def coincident_frames(poses) -> np.ndarray:
+    """The indices of the frames of (N, J, 3) ``poses`` whose joints all
+    coincide, which no alignment can scale."""
+    poses = np.asarray(poses, dtype=np.float64)
+    centered = poses - poses.mean(axis=1, keepdims=True)
+    return np.flatnonzero((centered**2).sum(axis=(1, 2)) < 1e-12)
+
+
 def procrustes_align(pred, gt, rigid_only: bool = False) -> np.ndarray:
     """Per-frame least-squares alignment of pred onto gt."""
     pred, gt = _check_pair(pred, gt)
     if pred.shape[1] < 3:
         raise NumericsError("alignment needs at least 3 joints per frame")
+    flat = coincident_frames(pred)
+    if flat.size:
+        raise NumericsError(f"frame {flat[0]}: degenerate frame: all joints coincide")
     out = np.empty_like(pred)
     for n in range(pred.shape[0]):
         try:

@@ -28,6 +28,7 @@ __all__ = [
     "PrecomputedTextEncoder",
     "PromptBank",
     "PromptEmbedding",
+    "prompt_for",
 ]
 
 TOTAL_TOKENS = 77
@@ -186,3 +187,9 @@ class PromptBank:
         tokens = concat(pieces, axis=0)
         pooled = Tensor(_pool_selector(self.spec).astype(self.dtype)) @ tokens
         return PromptEmbedding(tokens=tokens, pooled=pooled)
+
+
+def prompt_for(bank: PromptBank | None, action: str | None) -> PromptEmbedding | None:
+    """``bank``'s prompt for ``action``; None when the model runs without
+    prompts, which is when it has no bank."""
+    return None if bank is None else bank.assemble(action)

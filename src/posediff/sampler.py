@@ -29,7 +29,6 @@ from .rng import gaussian, rng_for
 __all__ = [
     "CameraIntrinsics",
     "HypothesisSet",
-    "EstimateResult",
     "sample_initial_hypotheses",
     "ddim_loop",
     "reproject",
@@ -78,13 +77,6 @@ class HypothesisSet:
     @property
     def count(self):
         return self.hypotheses.shape[0]
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    poses: np.ndarray  # (N, J, 3) camera-space
-    hypothesis_index: np.ndarray  # (J,) or (N, J) per-frame mode
-    hypotheses: np.ndarray  # (H, N, J, 3) camera-space, post-loop
 
 
 def sample_initial_hypotheses(H: int, n_frames: int, n_joints: int, seed: int) -> HypothesisSet:
@@ -202,8 +194,9 @@ def estimate_single(
     to_camera=None,
     x_pixels: np.ndarray | None = None,
     frame_mask: np.ndarray | None = None,
-) -> EstimateResult:
-    """Full single-human inference: sample, iterate, aggregate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full single-human inference: sample, iterate, aggregate. Returns
+    ``jpma_aggregate``'s (camera-space poses, selected hypothesis indices).
 
     ``to_camera`` maps the (H, N, J, 3) model-space hypothesis stack to
     camera-space poses before reprojection (identity when the model already
@@ -218,10 +211,9 @@ def estimate_single(
     refined = ddim_loop(x, hyp, M, denoise_fn, sched, deterministic=deterministic, seed=seed)
     cam_hyps = refined.hypotheses if to_camera is None else to_camera(refined.hypotheses)
     ref_x = x if x_pixels is None else np.asarray(x_pixels)
-    poses, sel = jpma_aggregate(
+    return jpma_aggregate(
         HypothesisSet(cam_hyps), ref_x, cam, per_frame=per_frame, frame_mask=frame_mask
     )
-    return EstimateResult(poses=poses, hypothesis_index=sel, hypotheses=cam_hyps)
 
 
 def scene_seed(seed: int, scene: str) -> int:

@@ -19,6 +19,7 @@ from .autodiff import Tensor
 from .container import _is_int, read_container, write_container
 from .diffusion import NoiseSchedule, forward_diffuse
 from .exceptions import ConfigError, NumericsError, ShapeError
+from .prompts import prompt_for
 from .rng import gaussian, rng_for
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "read_checkpoint",
     "checkpoint_weights",
     "restore_modifiers",
-    "restore_model",
     "restore_trainer",
 ]
 
@@ -137,11 +137,6 @@ class Trainer:
         self.epoch_step = 0  # batches of ``epoch`` already taken
         self.logs: list = []
 
-    def _prompt(self, action):
-        if self.bank is None:
-            return None
-        return self.bank.assemble(action)
-
     def train_epoch(self, samples: list, max_steps: int | None = None) -> float:
         """The rest of the current epoch over the shuffled dataset; returns the
         mean step loss. At ``max_steps`` it stops inside the epoch, and the
@@ -175,7 +170,8 @@ class Trainer:
                     dtype=dtype,
                 )
                 yt = forward_diffuse(y0, t, self.sched, eps)
-                y0_hat = self.model.denoise(yt, np.asarray(x, dtype=dtype), t, self._prompt(action))
+                prompt = prompt_for(self.bank, action)
+                y0_hat = self.model.denoise(yt, np.asarray(x, dtype=dtype), t, prompt)
                 term = mse_loss(y0, y0_hat)
                 total = term if total is None else total + term
                 err = np.linalg.norm(y0_hat.data - y0, axis=-1)
@@ -261,25 +257,16 @@ def restore_modifiers(bank, tensors: dict) -> None:
         mod.data = _checkpoint_tensor(tensors, key, mod.data.shape, mod.data.dtype)
 
 
-def restore_model(model, bank, tensors: dict) -> None:
-    """Install checkpoint weights and prompt modifiers into a built model."""
-    for name, p in model.weights.items():
-        p.data = _checkpoint_tensor(tensors, f"weights/{name}", p.data.shape, p.data.dtype)
-    if bank is not None:
-        restore_modifiers(bank, tensors)
-
-
 def restore_trainer(trainer: Trainer, tensors: dict, meta: dict, n_samples: int) -> None:
-    """Install checkpoint state into a freshly built trainer that goes on to
-    train on ``n_samples`` samples (bit-exact resume)."""
+    """Install a checkpoint's training position and optimizer moments into a
+    trainer built from its weights and modifiers, which goes on to train on
+    ``n_samples`` samples (bit-exact resume)."""
     batches = -(-n_samples // trainer.cfg.batch_size)  # per epoch
     for key, end in (("opt_step", None), ("epoch", None), ("epoch_step", batches)):
         v = meta.get(key)
         if not _is_int(v) or v < 0 or (end is not None and v >= end):
             bound = "" if end is None else f" below the epoch's {end} batches"
             raise ConfigError(f"checkpoint meta {key!r} must be an integer >= 0{bound}, got {v!r}")
-    restore_model(trainer.model, trainer.bank, tensors)
-    # restore_model swaps the data of the optimizer's own parameter tensors
     opt = trainer.opt
     for name in opt.params:
         for moments, key in ((opt.m, f"opt/m/{name}"), (opt.v, f"opt/v/{name}")):

@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the numeric tolerances are pinned in the assertions.
 """
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
-from posediff.cli import run_estimate, run_eval, run_train
+from posediff.cli import _load_model, run_estimate, run_eval, run_train
 from posediff.config import build_runtime, load_config
 from posediff.container import read_container
 from posediff.data import (
@@ -26,7 +27,7 @@ from posediff.diffusion import (
     forward_diffuse,
 )
 from posediff.metrics import mpjpe, p_mpjpe, pck, procrustes_align
-from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
+from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec, prompt_for
 from posediff.rng import gaussian
 from posediff.sampler import (
     HypothesisSet,
@@ -42,8 +43,6 @@ from posediff.training import (
     Trainer,
     TrainConfig,
     mse_loss,
-    read_checkpoint,
-    restore_model,
     save_checkpoint,
 )
 
@@ -247,11 +246,11 @@ def test_09_multi_human_equivalence(tmp_path):
     save_dataset(data, records)
     pred, _ = read_container(run_estimate(ckpt, data, tmp_path / "p.ptc", 3, 2, seed=18))
 
-    restore_model(runtime.model, runtime.bank, read_checkpoint(ckpt)[0])
+    runtime = _load_model(ckpt)
     for c, rec in enumerate(records):
         norm, params = normalize_record(rec, cfg["data"]["normalize"])
-        prompt = runtime.prompt_for(rec.action)
-        solo = estimate_single(
+        prompt = prompt_for(runtime.bank, rec.action)
+        poses, index = estimate_single(
             norm.keypoints_2d.astype(runtime.dtype), rec.camera,
             lambda yt, x, t: runtime.model.denoise_array(yt.astype(runtime.dtype), x, t, prompt),
             runtime.sched, H=3, M=2, seed=character_seed(scene_seed(18, rec.scene), c),
@@ -259,8 +258,8 @@ def test_09_multi_human_equivalence(tmp_path):
             frame_mask=rec.presence,
         )
         base = f"pred/{rec.seq_id}"
-        assert np.array_equal(pred[f"{base}/poses"], solo.poses)
-        assert np.array_equal(pred[f"{base}/per_joint_hypothesis_index"], solo.hypothesis_index)
+        assert np.array_equal(pred[f"{base}/poses"], poses)
+        assert np.array_equal(pred[f"{base}/per_joint_hypothesis_index"], index)
         assert np.array_equal(pred[f"{base}/presence"] > 0.5, rec.presence)
     assert not records[1].presence.all()
     report(9, "C=3 scene via run_estimate bit-identical to stacked estimate_single")
@@ -280,6 +279,7 @@ def test_10_end_to_end_determinism(tmp_path):
         pred = run_estimate(ckpt, data, tmp_path / f"{tag}.ptc", hypotheses=3, iterations=2, seed=21)
         report_path, per_joint, _ = run_eval(pred, data, tmp_path / f"{tag}_eval")
         return (
+            open(ckpt, "rb").read(),
             (tmp_path / f"{tag}.ptc").read_bytes(),
             open(report_path, "rb").read(),
             open(per_joint, "rb").read(),
@@ -287,10 +287,13 @@ def test_10_end_to_end_determinism(tmp_path):
 
     a = pipeline("a")
     b = pipeline("b")
-    assert a[0] == b[0]  # prediction container
-    assert a[1] == b[1]  # report CSV
-    assert a[2] == b[2]  # per-joint CSV
-    report(10, "two train->estimate->eval pipelines byte-identical")
+    assert a[0] == b[0]  # last checkpoint
+    assert a[1] == b[1]  # prediction container
+    assert a[2] == b[2]  # report CSV
+    assert a[3] == b[3]  # per-joint CSV
+    # one digest over the four artifacts, to compare runs of two versions by eye
+    digest = hashlib.sha256(b"".join(hashlib.sha256(x).digest() for x in a)).hexdigest()[:16]
+    report(10, f"two train->estimate->eval pipelines byte-identical, sha256 {digest}")
 
 
 def test_11_ablation_plumbing(tmp_path):

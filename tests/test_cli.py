@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from posediff.cli import main, run_estimate, run_eval, run_plot, run_synth, run_train
-from posediff.config import config_hash, default_config, load_config, preset
+from posediff.config import config_hash, load_config, preset
 from posediff.container import read_container, write_container
 from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.exceptions import ConfigError
@@ -79,6 +79,24 @@ MALFORMED_EMBEDDINGS = [
 ]
 
 
+# one row per way a predictions file can be malformed: (the tensor or meta key
+# damaged, how, what the error names besides the file, the commands that read
+# it); the file is the workspace's, and ``plot`` draws seq001
+MALFORMED_PREDICTIONS = [
+    ("kind", "drop", "kind=None", ("eval", "plot")),
+    ("pred/seq001/poses", "drop", "'seq001'", ("eval", "plot")),
+    ("pred/seq001/poses", "xy", "(8, 17, 2) poses", ("eval", "plot")),
+    ("pred/seq001/poses", "nan", "'pred/seq001/poses'", ("eval", "plot")),
+    ("pred/seq001/poses", "zero_depth", "'seq001': degenerate depth 0 at frame 3, joint 5",
+     ("plot",)),
+    ("pred/seq001/poses", "negative_depth", "'seq001': degenerate depth -50 at frame 3, joint 5",
+     ("plot",)),
+    ("pred/seq001/poses", "coincident", "'seq001' frame 2: all joints coincide", ("eval",)),
+    ("pred/ghost/poses", "orphan", "predictions without records ['ghost']", ("eval",)),
+]
+PREDICTION_CASES = [(command, *row[:3]) for row in MALFORMED_PREDICTIONS for command in row[3]]
+
+
 def nested(values):
     """Dotted keys to a config overlay: {"model.heads": 0} -> {"model": {"heads": 0}}."""
     out = {}
@@ -137,7 +155,7 @@ def log_rows(run_dir):
 
 class TestConfig:
     def test_defaults_match_published_settings(self):
-        cfg = default_config()
+        cfg = preset("paper")
         assert cfg["sample"]["hypotheses"] == 20
         assert cfg["sample"]["iterations"] == 10
         assert cfg["train"]["lr0"] == 6e-5
@@ -236,7 +254,7 @@ class TestConfig:
         assert all(k in str(err.value) for k in ("'dtype'", "'model.heads'", "'train.epochs'"))
 
     def test_hash_stable_and_sensitive(self):
-        a, b = default_config(), default_config()
+        a, b = preset("paper"), preset("paper")
         assert config_hash(a) == config_hash(b)
         b["seed"] = 1
         assert config_hash(a) != config_hash(b)
@@ -246,7 +264,7 @@ class TestConfig:
         assert tiny["model"]["feature_dim"] == 64
         assert tiny["data"]["n_frames"] == 16
         paper = preset("paper")
-        assert paper == default_config()
+        assert paper == load_config()  # no preset named: paper
         with pytest.raises(ConfigError):
             preset("huge")
 
@@ -256,7 +274,7 @@ class TestConfig:
         with open(readme) as f:
             section = f.read().split("\n## Configuration\n", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        assert json.loads(block) == default_config()
+        assert json.loads(block) == preset("paper")
 
     def test_file_encoder_runtime(self, tmp_path):
         from posediff.config import build_runtime
@@ -471,6 +489,25 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run"), "--steps", "1"]) == 1
         assert "walk_cycle" in capsys.readouterr().err
 
+    def test_resume_builds_the_model_from_the_checkpoint(self, tmp_path, monkeypatch):
+        """``train --resume`` seeds no weights, and still matches the uninterrupted run."""
+        from posediff import denoiser
+
+        data = tmp_path / "d.ptc"
+        save_dataset(data, synth_generate(8, 8, 17, seed=2))  # 2 steps per epoch
+        cfg = tiny_cfg()
+        run_train(cfg, data, tmp_path / "full", max_steps=5)
+        run_train(cfg, data, tmp_path / "split", max_steps=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_denoiser_weights called")
+
+        monkeypatch.setattr(denoiser, "init_denoiser_weights", refuse)
+        run_train(cfg, data, tmp_path / "split", resume=True, max_steps=5)
+        full, split = tmp_path / "full", tmp_path / "split"
+        assert (full / "ckpt_last.ptc").read_bytes() == (split / "ckpt_last.ptc").read_bytes()
+        assert log_rows(split) == log_rows(full)
+
     def test_resume_rejects_config_change(self, tmp_path):
         data = tmp_path / "d.ptc"
         save_dataset(data, synth_generate(2, 8, 17, seed=2))
@@ -633,12 +670,14 @@ class TestEstimateCommand:
         overwritten with every checkpoint tensor."""
         from posediff import cli
         from posediff.config import build_runtime
-        from posediff.training import read_checkpoint, restore_model
+        from posediff.training import read_checkpoint, restore_modifiers
 
         def seeded_then_restored(path):
             tensors, meta = read_checkpoint(path)
             runtime = build_runtime(meta["run_config"])
-            restore_model(runtime.model, runtime.bank, tensors)
+            for name, p in runtime.model.weights.items():
+                p.data = tensors[f"weights/{name}"].astype(p.data.dtype)
+            restore_modifiers(runtime.bank, tensors)
             return runtime
 
         outputs = []
@@ -720,6 +759,7 @@ class TestEstimateCommand:
     def test_scene_matches_stacked_estimate_single(self, workspace, tmp_path, characters):
         from posediff.cli import _load_model
         from posediff.data import denormalize_poses, normalize_record, synth_generate_multi
+        from posediff.prompts import prompt_for
         from posediff.sampler import character_seed, estimate_single, scene_seed
 
         records = synth_generate_multi(characters, 8, 17, seed=12)
@@ -732,8 +772,8 @@ class TestEstimateCommand:
         runtime = _load_model(workspace["ckpt"])
         for c, rec in enumerate(records):
             norm, params = normalize_record(rec, runtime.cfg["data"]["normalize"])
-            prompt = runtime.prompt_for(rec.action)
-            solo = estimate_single(
+            prompt = prompt_for(runtime.bank, rec.action)
+            poses, index = estimate_single(
                 norm.keypoints_2d.astype(runtime.dtype), rec.camera,
                 lambda yt, x, t: runtime.model.denoise_array(
                     yt.astype(runtime.dtype), x, t, prompt
@@ -742,10 +782,8 @@ class TestEstimateCommand:
                 to_camera=lambda y: denormalize_poses(y, params),
                 x_pixels=rec.keypoints_2d, frame_mask=rec.presence,
             )
-            assert np.array_equal(tensors[f"pred/{rec.seq_id}/poses"], solo.poses)
-            assert np.array_equal(
-                tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], solo.hypothesis_index
-            )
+            assert np.array_equal(tensors[f"pred/{rec.seq_id}/poses"], poses)
+            assert np.array_equal(tensors[f"pred/{rec.seq_id}/per_joint_hypothesis_index"], index)
 
     @pytest.mark.parametrize("damage", ["missing_modifier", "modifier_shape"])
     def test_incomplete_prompt_state_is_config_error(self, workspace, tmp_path, capsys, damage):
@@ -904,7 +942,7 @@ class TestEvalCommand:
         assert main(["eval", "--predictions", str(pred), "--data", str(data),
                      "--out", str(out)]) == 1
         assert repr(absent.seq_id) in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestPlotCommand:
@@ -991,6 +1029,76 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert f"{ckpt}: " in err and named in err
         assert {p.name: p.read_bytes() for p in ckpt.parent.iterdir()} == written
+
+    @pytest.mark.parametrize(
+        "command, key, how, named", PREDICTION_CASES,
+        ids=[f"{c}-{k}-{h}" for c, k, h, _ in PREDICTION_CASES],
+    )
+    def test_predictions_error_names_file(self, workspace, tmp_path, capsys, command, key, how,
+                                          named):
+        tensors, meta = read_container(workspace["pred"])
+        if how == "drop" and key == "kind":
+            del meta[key]
+        elif how == "drop":
+            del tensors[key]
+        elif how == "orphan":
+            tensors[key] = tensors["pred/seq000/poses"]
+        else:
+            poses = tensors[key]
+            if how == "xy":
+                poses = poses[..., :2]
+            elif how == "nan":
+                poses[0, 0, 0] = np.nan
+            elif how == "zero_depth":
+                poses[3, 5, 2] = 0.0
+            elif how == "negative_depth":
+                poses[3, 5, 2] = -50.0
+            else:
+                poses[2] = poses[2, 0]
+            tensors[key] = poses
+        pred, out = tmp_path / "pred.ptc", tmp_path / "out"
+        write_container(pred, tensors, meta)
+        args = ["--sequence", "seq001"] if command == "plot" else []
+        capsys.readouterr()
+        assert main([command, "--predictions", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert f"{pred}" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, how", [("eval", "negative_depth"), ("plot", "orphan")])
+    def test_predictions_accepted_as_intended(self, workspace, tmp_path, command, how):
+        """``eval`` never projects, so it scores a pose behind the camera; ``plot``
+        reads only its sequence's prediction."""
+        tensors, meta = read_container(workspace["pred"])
+        if how == "negative_depth":
+            tensors["pred/seq001/poses"][3, 5, 2] = -50.0
+        else:
+            tensors["pred/ghost/poses"] = tensors["pred/seq000/poses"]
+        pred = tmp_path / "pred.ptc"
+        write_container(pred, tensors, meta)
+        args = ["--sequence", "seq001"] if command == "plot" else []
+        assert main([command, "--predictions", str(pred), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "out")] + args) == 0
+
+    @pytest.mark.parametrize("command", ["train", "eval", "plot"])
+    @pytest.mark.parametrize("where", ["out", "parent"])
+    def test_out_under_a_file_exits_before_reading(self, tmp_path, capsys, command, where):
+        """An ``--out`` that a regular file stands in the place of is judged before
+        any input is read: here every input is missing."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker if where == "out" else blocker / "run"
+        missing = str(tmp_path / "missing.ptc")
+        args = {
+            "train": ["train", "--preset", "tiny", "--data", missing],
+            "eval": ["eval", "--predictions", missing, "--data", missing],
+            "plot": ["plot", "--predictions", missing, "--data", missing, "--sequence", "s"],
+        }[command]
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == 1
+        assert f"--out {out} cannot be a directory: {blocker} is a file" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
 
     @pytest.mark.parametrize("damage, named", MALFORMED_EMBEDDINGS,
                              ids=[d for d, _ in MALFORMED_EMBEDDINGS])

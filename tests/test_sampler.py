@@ -253,29 +253,33 @@ class TestEstimateSingle:
     def test_seed_determinism(self):
         target, x = self.make_inputs()
         sched = build_schedule(100)
-        a = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
-        b = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
-        assert np.array_equal(a.poses, b.poses)
-        assert np.array_equal(a.hypothesis_index, b.hypothesis_index)
+        a_poses, a_index = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
+        b_poses, b_index = estimate_single(x, CAM, FakeDenoiser(target), sched, H=4, M=3, seed=7)
+        assert np.array_equal(a_poses, b_poses)
+        assert np.array_equal(a_index, b_index)
 
     def test_aggregated_error_dominates(self):
         target, x = self.make_inputs(3)
         sched = build_schedule(100)
-        res = estimate_single(x, CAM, FakeDenoiser(target), sched, H=5, M=2, seed=1)
-        agg = np.linalg.norm(reproject(res.poses, CAM) - x, axis=-1).sum(axis=0)
+        poses, _ = estimate_single(x, CAM, FakeDenoiser(target), sched, H=5, M=2, seed=1)
+        # the refined stack estimate_single aggregates, rebuilt from the same seed
+        hyp = sample_initial_hypotheses(5, *x.shape[:2], seed=1)
+        refined = ddim_loop(x, hyp, 2, FakeDenoiser(target), sched, seed=1).hypotheses
+        assert np.array_equal(poses, jpma_aggregate(HypothesisSet(refined), x, CAM)[0])
+        agg = np.linalg.norm(reproject(poses, CAM) - x, axis=-1).sum(axis=0)
         for h in range(5):
-            err = np.linalg.norm(reproject(res.hypotheses[h], CAM) - x, axis=-1).sum(axis=0)
+            err = np.linalg.norm(reproject(refined[h], CAM) - x, axis=-1).sum(axis=0)
             assert np.all(agg <= err + 1e-12)
 
     def test_to_camera_transform_applies(self):
         target, x = self.make_inputs(4)
         sched = build_schedule(100)
         shift = np.array([0.0, 0.0, 10.0])
-        res = estimate_single(
+        poses, _ = estimate_single(
             x, CAM, FakeDenoiser(target - shift), sched, H=2, M=1, seed=0,
             to_camera=lambda y: y + shift,
         )
         # Without the shift the hypotheses sit at depth ~ -8 and reprojection
         # would fail; with it they land near the positive-depth target.
-        assert res.poses[..., 2].min() > 0
-        assert np.abs(res.poses - target).max() < 0.5
+        assert poses[..., 2].min() > 0
+        assert np.abs(poses - target).max() < 0.5

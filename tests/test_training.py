@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posediff.autodiff import Tensor
-from posediff.denoiser import Denoiser, DenoiserConfig
+from posediff.denoiser import Denoiser, DenoiserConfig, weight_shapes
 from posediff.diffusion import build_schedule
 from posediff.exceptions import ConfigError, NumericsError, ShapeError
 from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
@@ -10,9 +10,11 @@ from posediff.training import (
     AdamW,
     Trainer,
     TrainConfig,
+    checkpoint_weights,
     lr_schedule,
     mse_loss,
     read_checkpoint,
+    restore_modifiers,
     restore_trainer,
     save_checkpoint,
 )
@@ -22,13 +24,20 @@ from gradcheck import gradient_check
 TINY = DenoiserConfig(n_frames=2, n_joints=3, feature_dim=8, heads=2)
 
 
-def make_trainer(seed=0, cfg=None, dcfg=TINY, lr0=1e-3):
-    model = Denoiser.create(dcfg, seed=seed)
+def make_trainer(seed=0, cfg=None, dcfg=TINY, lr0=1e-3, checkpoint=None):
+    """A seeded trainer; with ``checkpoint`` (a checkpoint's tensors), its weights
+    and prompt modifiers are the checkpoint's, as ``train --resume`` builds them."""
+    if checkpoint is None:
+        model = Denoiser.create(dcfg, seed=seed)
+    else:
+        model = Denoiser(dcfg, checkpoint_weights(checkpoint, weight_shapes(dcfg), np.float64))
     bank = (
         PromptBank(PromptSpec(), HashTextEncoder(dcfg.feature_dim, seed=seed + 1), seed=seed + 2)
         if dcfg.use_fpp
         else None
     )
+    if checkpoint is not None and bank is not None:
+        restore_modifiers(bank, checkpoint)
     sched = build_schedule(40)
     cfg = cfg or TrainConfig(epochs=2, batch_size=2, lr0=lr0, lr_decay=1.0, weight_decay=0.0)
     return Trainer(model, bank, sched, cfg, seed=seed)
@@ -217,10 +226,10 @@ class TestCheckpoint:
         half.train_epoch(samples)
         path = tmp_path / "ck.ptc"
         save_checkpoint(path, half, run_config={"note": "test"})
-        fresh = make_trainer(seed=11)
         tensors, meta = read_checkpoint(path)
         # frozen prompt text is not stored: the encoder rebuilds it
         assert not [k for k in tensors if "frozen" in k]
+        fresh = make_trainer(seed=11, checkpoint=tensors)
         restore_trainer(fresh, tensors, meta, len(samples))
         assert fresh.epoch == 1
         fresh.train_epoch(samples)
@@ -241,7 +250,7 @@ class TestCheckpoint:
         tensors, meta = read_checkpoint(path)
         for k in range(7):
             tensors[f"prompt_frozen/motion/{k}"] = np.full((4, 3), 9.0)
-        fresh = make_trainer(seed=13)
+        fresh = make_trainer(seed=13, checkpoint=tensors)
         restore_trainer(fresh, tensors, meta, 2)
         for action in ("walk_cycle", None):
             np.testing.assert_array_equal(
