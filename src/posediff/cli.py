@@ -148,10 +148,7 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
     if resume and not os.path.exists(last_path):
         raise ConfigError(f"--resume set but {last_path} does not exist")
     runtime = _load_model(last_path, cfg) if resume else build_runtime(cfg)
-    records = load_dataset(data_path)
-    if not records:
-        raise ConfigError(f"dataset {data_path} holds no sequences")
-    samples = _training_samples(records, runtime)
+    samples = _training_samples(load_dataset(data_path), runtime)
     trainer = Trainer(runtime.model, runtime.bank, runtime.sched, runtime.train_config, cfg["seed"])
     if resume:
         tensors, meta = read_checkpoint(last_path, prefixes=("opt/",))
@@ -245,8 +242,6 @@ def run_estimate(
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
     records = load_dataset(data_path)
-    if not records:
-        raise ConfigError(f"dataset {data_path} holds no sequences")
     results = [_estimate_record(rec, runtime, H, M, base_seed, per_frame) for rec in records]
 
     tensors, cam_notes = {}, {}
@@ -294,6 +289,11 @@ def _judged_poses(pred_path, pred_tensors, rec):
     if pred.shape != rec.gt_3d.shape:
         raise ConfigError(f"{pred_path}: record {rec.seq_id!r} has {rec.gt_3d.shape} "
                           f"ground truth but {pred.shape} poses")
+    with np.errstate(over="ignore"):
+        huge = np.flatnonzero(~np.isfinite(np.square(pred, dtype=np.float64).sum(axis=(1, 2))))
+    if huge.size:
+        raise ConfigError(f"{pred_path}: record {rec.seq_id!r} frame {huge[0]}: coordinates "
+                          "too large to score (their squares overflow float64)")
     if rec.presence is None:
         return pred, np.ones(rec.n_frames, bool)
     if not rec.presence.any():

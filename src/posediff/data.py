@@ -148,14 +148,16 @@ def save_dataset(path, records: list) -> None:
 
 
 def load_dataset(path) -> list:
-    """The file's records. ``SequenceRecord`` judges each one; its and the
-    camera's errors become ConfigErrors naming the file and the record."""
+    """The file's records, at least one. ``SequenceRecord`` judges each one; its
+    and the camera's errors become ConfigErrors naming the file and the record."""
     tensors, meta = read_container(path)
     if meta.get("kind") != "dataset":
         raise ConfigError(f"{path}: not a dataset container (kind={meta.get('kind')!r})")
     sequences = meta.get("sequences", [])
     if not isinstance(sequences, list):
         raise ConfigError(f"{path}: the sequence index is not a list")
+    if not sequences:
+        raise ConfigError(f"{path}: dataset holds no sequences")
     records, seen = [], set()
     for i, entry in enumerate(sequences):
         _check_entry(path, i, entry)

@@ -265,6 +265,18 @@ def test_09_multi_human_equivalence(tmp_path):
     report(9, "C=3 scene via run_estimate bit-identical to stacked estimate_single")
 
 
+def tensors_digest(path):
+    """sha256 of a container's tensor names, dtypes, shapes and bytes; its meta
+    (config, config hash) is left out."""
+    tensors, _ = read_container(path)
+    h = hashlib.sha256()
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.digest()
+
+
 def test_10_end_to_end_determinism(tmp_path):
     data = tmp_path / "d.ptc"
     save_dataset(data, synth_generate(3, 8, 17, seed=19))
@@ -293,7 +305,14 @@ def test_10_end_to_end_determinism(tmp_path):
     assert a[3] == b[3]  # per-joint CSV
     # one digest over the four artifacts, to compare runs of two versions by eye
     digest = hashlib.sha256(b"".join(hashlib.sha256(x).digest() for x in a)).hexdigest()[:16]
-    report(10, f"two train->estimate->eval pipelines byte-identical, sha256 {digest}")
+    # and one over the numerics alone: a change to the config tree moves the
+    # first digest but not this one
+    parts = [tensors_digest(tmp_path / "a_run" / "ckpt_last.ptc"),
+             tensors_digest(tmp_path / "a.ptc"),
+             hashlib.sha256(a[2]).digest(), hashlib.sha256(a[3]).digest()]
+    numerics = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+    report(10, f"two train->estimate->eval pipelines byte-identical, sha256 {digest}, "
+               f"tensors-only sha256 {numerics}")
 
 
 def test_11_ablation_plumbing(tmp_path):

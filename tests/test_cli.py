@@ -92,6 +92,7 @@ MALFORMED_PREDICTIONS = [
     ("pred/seq001/poses", "negative_depth", "'seq001': degenerate depth -50 at frame 3, joint 5",
      ("plot",)),
     ("pred/seq001/poses", "coincident", "'seq001' frame 2: all joints coincide", ("eval",)),
+    ("pred/seq001/poses", "huge", "'seq001' frame 2: coordinates too large", ("eval", "plot")),
     ("pred/ghost/poses", "orphan", "predictions without records ['ghost']", ("eval",)),
 ]
 PREDICTION_CASES = [(command, *row[:3]) for row in MALFORMED_PREDICTIONS for command in row[3]]
@@ -1053,6 +1054,8 @@ class TestMalformedFiles:
                 poses[3, 5, 2] = 0.0
             elif how == "negative_depth":
                 poses[3, 5, 2] = -50.0
+            elif how == "huge":
+                poses[2] *= 1e200
             else:
                 poses[2] = poses[2, 0]
             tensors[key] = poses
@@ -1064,6 +1067,24 @@ class TestMalformedFiles:
                      "--out", str(out)] + args) == 1
         err = capsys.readouterr().err
         assert f"{pred}" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "estimate", "eval", "plot"])
+    def test_empty_dataset_exits_one(self, workspace, tmp_path, capsys, command):
+        """Every command reads a dataset through ``load_dataset``, the one judge
+        of a dataset that holds no sequence."""
+        data, pred, out = tmp_path / "empty.ptc", tmp_path / "pred.ptc", tmp_path / "out"
+        save_dataset(data, [])
+        write_container(pred, {}, {"kind": "predictions"})
+        args = {
+            "train": ["train", "--preset", "tiny"],
+            "estimate": ["estimate", "--checkpoint", str(workspace["ckpt"])],
+            "eval": ["eval", "--predictions", str(pred)],
+            "plot": ["plot", "--predictions", str(pred), "--sequence", "seq001"],
+        }[command]
+        capsys.readouterr()
+        assert main(args + ["--data", str(data), "--out", str(out)]) == 1
+        assert f"error: {data}: dataset holds no sequences" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, how", [("eval", "negative_depth"), ("plot", "orphan")])
