@@ -7,11 +7,11 @@ reshape (positional dims), sqrt and scalar powers. A tensor is always the
 left operand: negation, division and reflected operators (``2 * t``) are not
 defined. Layer norm is a composition of these primitives. ``linear`` is a
 primitive with a hand-written backward, checked against finite differences
-by acceptance 4. Without a graph (inference), ``linear`` runs as one 2-D GEMM
-over the flattened leading axes, and ``layer_norm`` and ``gelu`` each fill
-one output buffer in place. Every gradient in the package reduces to the
-rules below. Anything outside the set raises NotImplementedError at
-graph-construction time.
+by acceptance 4. Without a graph (inference), ``linear`` runs one 2-D GEMM
+per sequence over its flattened frame and joint axes, and ``layer_norm`` and
+``gelu`` each fill one output buffer in place. Every gradient in the package
+reduces to the rules below. Anything outside the set raises
+NotImplementedError at graph-construction time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
 ``requires_grad=True``. Broadcasting follows numpy semantics; the backward
@@ -322,9 +322,12 @@ def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> T
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias over the last axis of x, as one graph node.
 
-    With no graph to record (inference), the leading axes of x are flattened
-    into rows: a (N, J, D) input costs one (N*J, D) @ (D, O) GEMM, so the
-    weight is packed once rather than N times.
+    With no graph to record (inference), the last two leading axes of x (a
+    sequence's frames and joints) are flattened into rows: a (N, J, D) input
+    costs one (N*J, D) @ (D, O) GEMM, so the weight is packed once rather
+    than N times. Axes before them are a batch: an (H, N, J, D) stack costs
+    H of those GEMMs, each rounding as it does alone (one GEMM over all
+    H*N*J rows may take another BLAS kernel, which rounds differently).
 
     While recording, forward and backward keep per-leading-index products
     (and sum an (N, D, O) weight-gradient stack), so training rounds exactly
@@ -335,7 +338,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.ndim != 2:
         raise NotImplementedError("linear weight must be 2-D")
     if not _recording(x, weight, bias):
-        out = x.data.reshape(-1, x.shape[-1]) @ weight.data
+        out = x.data.reshape(*x.shape[:-3], -1, x.shape[-1]) @ weight.data
         out += bias.data
         return Tensor(out.reshape(*x.shape[:-1], -1))
 

@@ -12,11 +12,14 @@ The three conditioning stages can be disabled independently (ablation
 plumbing): ``use_fpp`` gates the prompt bank entirely, ``use_fpc`` the
 cross-attention, ``use_pts`` the stylization.
 
-Inference also takes a leading hypothesis axis: ``denoise`` runs each
-hypothesis's unchanged (N, J, .) forward and stacks the results. Forwards
-of paper size are spread over up to ``thread_budget()`` threads, whose GEMMs
-and large ufuncs release the interpreter lock; small ones run in order on
-the calling thread.
+Inference also takes a leading hypothesis axis: without a graph, every
+stage runs on an (h, N, J, .) stack as it does on one (N, J, .) sequence,
+and each hypothesis's rows round exactly as in its own forward. ``denoise``
+spreads a stack over up to ``thread_budget()`` threads, whose GEMMs and
+large ufuncs release the interpreter lock: one hypothesis per task when a
+forward is of paper size, else one contiguous share per thread, run as one
+forward, when a share is big enough that the threads stop queueing on the
+lock. Smaller stacks run one hypothesis at a time on the calling thread.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ __all__ = [
 
 WEIGHT_STD = 0.02
 LN_EPS = 1e-5
-# Smallest forward (frames x joints x feature_dim) whose hypotheses are
-# spread over threads: 24x17x64, the smallest measured size at which 2
-# threads beat one in at least 9 of 10 pairs in every round (sweep in
-# CHANGES.md). Below it, the threads mostly wait for the interpreter lock;
-# tiny (16x17x64) sits below, paper (243x17x512) far above.
+# Smallest work (frames x joints x feature_dim) one pool task runs: 24x17x64,
+# the smallest measured forward at which 2 threads beat one in at least 9 of
+# 10 pairs in every round (sweep in CHANGES.md). Below it, the threads mostly
+# wait for the interpreter lock. A paper forward (243x17x512) passes alone;
+# a tiny one (16x17x64) passes as a share of 2 or more hypotheses.
 PARALLEL_MIN_ELEMENTS = 26_112
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -222,22 +225,24 @@ class Denoiser:
     def embed_input(self, yt, x, t, prompt: PromptEmbedding | None, temb=None) -> Tensor:
         """Concat(3D, 2D) per joint token -> D, plus positional/prompt/time terms.
 
-        ``temb``, if given, is ``timestamp_embed(t)`` computed by the caller.
+        ``yt`` is (N, J, 3) or, without a graph, an (h, N, J, 3) stack that
+        shares the (N, J, 2) keypoints ``x``. ``temb``, if given, is
+        ``timestamp_embed(t)`` computed by the caller.
         """
         yt = np.asarray(yt)
         x = np.asarray(x)
-        if yt.ndim != 3 or yt.shape[2] != 3 or x.ndim != 3 or x.shape[2] != 2:
-            raise ShapeError(f"expected (N,J,3) and (N,J,2), got {yt.shape} and {x.shape}")
-        if yt.shape[:2] != x.shape[:2]:
+        if yt.ndim not in (3, 4) or yt.shape[-1] != 3 or x.ndim != 3 or x.shape[2] != 2:
+            raise ShapeError(f"expected (N,J,3) or (H,N,J,3) and (N,J,2), got {yt.shape} "
+                             f"and {x.shape}")
+        if yt.shape[-3:-1] != x.shape[:2]:
             raise ShapeError(f"pose/keypoint frame-joint mismatch: {yt.shape} vs {x.shape}")
         cfg = self.config
-        if yt.shape[:2] != (cfg.n_frames, cfg.n_joints):
+        if x.shape[:2] != (cfg.n_frames, cfg.n_joints):
             raise ShapeError(
-                f"input is {yt.shape[:2]}, config expects {(cfg.n_frames, cfg.n_joints)}"
+                f"input is {x.shape[:2]}, config expects {(cfg.n_frames, cfg.n_joints)}"
             )
-        tok = concat(
-            [Tensor(yt.astype(self.dtype)), Tensor(x.astype(self.dtype))], axis=-1
-        )
+        x = np.broadcast_to(x.astype(self.dtype), yt.shape[:-1] + (2,))
+        tok = concat([Tensor(yt.astype(self.dtype)), Tensor(x)], axis=-1)
         z = linear(tok, self._w("input/proj/w"), self._w("input/proj/b"))
         z = z + self._w("input/pos_spatial")
         if cfg.use_fpp:
@@ -302,9 +307,13 @@ class Denoiser:
         return _residual(x, linear(h, w(f"{prefix}/fc2/w"), w(f"{prefix}/fc2/b")))
 
     def mhsa_block(self, f: Tensor, axis: str, block: str, attn_sink=None) -> Tensor:
-        """One transformer block; ``axis`` picks joint-wise or frame-wise attention."""
-        seq_axis = {"spatial": 1, "temporal": 0}[axis]
-        if seq_axis == 0 and _grad_enabled():
+        """One transformer block; ``axis`` picks joint-wise or frame-wise attention.
+
+        The sequence axes count from the end (joints -2, frames -3), so any
+        leading hypothesis axis is a batch axis.
+        """
+        seq_axis = {"spatial": -2, "temporal": -3}[axis]
+        if axis == "temporal" and _grad_enabled():
             # a recorded graph keeps the frame-major operand layout: the
             # stacked-GEMM gradient sums, and so training's rounding, depend on it
             f = self._attention(f.permute(1, 0, 2), f"{block}/attn", attn_sink=attn_sink)
@@ -320,9 +329,13 @@ class Denoiser:
                 f"prompt matrix is {prompt.tokens.shape}, expected "
                 f"({TOTAL_TOKENS}, {self.config.feature_dim})"
             )
-        n, j, d = f.shape
-        out = self._attention(f.reshape(n * j, d), "cross", prompt.tokens, attn_sink)
-        return out.reshape(n, j, d)
+        # a sequence's N*J pose tokens are the query rows of one attention; a
+        # stack keeps them apart as (H, 1, N*J, D), which ``linear`` and the
+        # attention core run one sequence at a time
+        n, j, d = f.shape[-3:]
+        rows = (n * j, d) if f.ndim == 3 else (f.shape[0], 1, n * j, d)
+        out = self._attention(f.reshape(*rows), "cross", prompt.tokens, attn_sink)
+        return out.reshape(*f.shape)
 
     def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t, temb=None) -> Tensor:
         """Scale-and-offset features with a prompt+timestamp vector (``temb`` as above)."""
@@ -350,14 +363,20 @@ class Denoiser:
         """Full forward pass; returns the predicted clean pose as (N, J, 3).
 
         For inference only, ``yt`` may also be an (H, N, J, 3) hypothesis
-        stack; each hypothesis gets its own (N, J, 3) forward and the
-        predictions come back stacked in hypothesis order. When one forward
-        has at least ``PARALLEL_MIN_ELEMENTS`` frames x joints x feature_dim,
-        the hypotheses are spread over ``min(thread_budget(), H)`` threads;
-        otherwise they run in order on the calling thread. The budget is
-        read (and checked) on every stack and never changes the result.
-        Without a graph, the timestamp code is computed once per call (a graph
-        computes it per use: sharing it would move training's rounding).
+        stack; the predictions come back stacked in hypothesis order, each
+        bitwise equal to its own (N, J, 3) forward. With E = frames x joints
+        x feature_dim, ``threads = min(thread_budget(), H)`` and a share of
+        ``ceil(H / threads)`` hypotheses, a stack runs
+          * one hypothesis per pool task if threads > 1 and E >= G,
+            ``PARALLEL_MIN_ELEMENTS``;
+          * one contiguous share per thread, each as one forward, if
+            threads > 1 and share x E >= G;
+          * else one hypothesis at a time on the calling thread (batching
+            on one thread is slower than per-hypothesis forwards).
+        The budget is read (and checked) on every stack and never changes
+        the result. Without a graph, the timestamp code is computed once per
+        call (a graph computes it per use: sharing it would move training's
+        rounding).
         """
         yt = np.asarray(yt)
         temb = None if _grad_enabled() else self.timestamp_embed(t)
@@ -367,21 +386,28 @@ class Denoiser:
             raise ShapeError(
                 f"a hypothesis stack {yt.shape} is for inference only; denoise it under no_grad"
             )
-        workers = thread_budget()
         cfg = self.config
-        big = cfg.n_frames * cfg.n_joints * cfg.feature_dim >= PARALLEL_MIN_ELEMENTS
-        threads = min(workers, len(yt)) if big else 1
+        per_forward = cfg.n_frames * cfg.n_joints * cfg.feature_dim
+        hyps = len(yt)
+        threads = min(thread_budget(), hyps)
+        if threads > 1 and per_forward >= PARALLEL_MIN_ELEMENTS:
+            tasks = list(yt)
+        elif threads > 1 and math.ceil(hyps / threads) * per_forward >= PARALLEL_MIN_ELEMENTS:
+            tasks = np.array_split(yt, threads)
+        else:
+            threads, tasks = 1, list(yt)
 
-        def forward(h):
+        def forward(task):
             with no_grad():  # grad mode is per thread
-                return self._forward(yt[h], x, t, prompt, temb).data
+                out = self._forward(task, x, t, prompt, temb).data
+            return out if out.ndim == 4 else out[None]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(forward, range(len(yt))))
+                outs = list(pool.map(forward, tasks))
         else:
-            outs = [forward(h) for h in range(len(yt))]
-        return Tensor(np.stack(outs))
+            outs = [forward(task) for task in tasks]
+        return Tensor(np.concatenate(outs))
 
     def _forward(self, yt, x, t, prompt, temb) -> Tensor:
         cfg = self.config

@@ -103,27 +103,32 @@ def ddim_loop(
     call at the current timestamp (starting at T) and steps every hypothesis
     to round(T*(1-m/M)); after the final denoise the predicted clean poses
     are returned directly (stepping to timestamp 0 would reproduce them
-    exactly). Stochastic steps draw hypothesis h's noise from (``seed``,
-    "ddim", h, m). A non-finite denoiser output raises ``NumericsError``.
+    exactly). When M > T, rounding can give an iteration no lower timestamp:
+    it takes no step and keeps the prediction it would repeat, so
+    ``denoise_fn`` runs once per distinct timestamp visited. Stochastic
+    steps draw hypothesis h's noise from (``seed``, "ddim", h, m). A
+    non-finite denoiser output raises ``NumericsError``.
     """
     y = hyp.hypotheses
     t_cur = sched.T
+    y0_hat = None  # the prediction at (y, t_cur), until a step moves them
     for m in range(1, M + 1):
-        y0_hat = np.asarray(denoise_fn(y, x, t_cur))
-        if y0_hat.shape != y.shape:
-            raise ShapeError(f"denoiser returned {y0_hat.shape}, expected {y.shape}")
-        if not np.isfinite(y0_hat).all():
-            raise NumericsError(f"denoiser returned non-finite poses at t={t_cur}")
+        if y0_hat is None:
+            y0_hat = np.asarray(denoise_fn(y, x, t_cur))
+            if y0_hat.shape != y.shape:
+                raise ShapeError(f"denoiser returned {y0_hat.shape}, expected {y.shape}")
+            if not np.isfinite(y0_hat).all():
+                raise NumericsError(f"denoiser returned non-finite poses at t={t_cur}")
         if m == M:
             break
         t_next = timestamp_for_iteration(m, M, sched.T)
-        if t_next >= t_cur:  # rounding collision on very short schedules
+        if t_next >= t_cur:  # rounding collision when M > T: no step, no new call
             continue
         noise = None if deterministic else np.stack(
             [gaussian(y.shape[1:], seed, "ddim", h, m) for h in range(hyp.count)]
         )
         y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise)
-        t_cur = t_next
+        t_cur, y0_hat = t_next, None
     return HypothesisSet(y0_hat)
 
 

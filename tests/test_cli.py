@@ -567,14 +567,18 @@ class TestEstimateCommand:
         from posediff import denoiser
 
         p1 = tmp_path / "p1.ptc"
-        run_estimate(workspace["ckpt"], workspace["data"], p1, hypotheses=2, iterations=2, seed=5)
-        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)  # every model takes the pool
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("POSEDIFF_THREADS", threads)
-            p2 = tmp_path / f"p{threads}.ptc"
-            run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=2, iterations=2,
-                         seed=5)
-            assert p1.read_bytes() == p2.read_bytes(), threads
+        run_estimate(workspace["ckpt"], workspace["data"], p1, hypotheses=5, iterations=2, seed=5)
+        # tiny_cfg's forward is 8 frames x 17 joints x 32 features = 4352, and
+        # 5 hypotheses on 2 or 3 threads make shares of 2 or 3: gate 0 runs a
+        # hypothesis per pool task, gate 4353 one share per thread
+        for gate in (0, 4353):
+            monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("POSEDIFF_THREADS", threads)
+                p2 = tmp_path / f"p{threads}.ptc"
+                run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=5,
+                             iterations=2, seed=5)
+                assert p1.read_bytes() == p2.read_bytes(), (gate, threads)
 
     @pytest.mark.parametrize(
         "env, cpus, workers",

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -407,6 +408,72 @@ class TestDenoise:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hypothesis_shares_equal_single_calls(self, monkeypatch, dtype):
+        # The tiny preset's forward, 40 hypotheses on 2 threads, gated so
+        # that each thread runs its share of 20 as one forward. Its GEMMs
+        # then have 20x the rows of a single forward's; one GEMM over all of
+        # them rounds differently, so each must stay per hypothesis.
+        from posediff import denoiser
+
+        cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
+        per_forward = 16 * 17 * 64
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", per_forward + 1)
+        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        model = Denoiser.create(cfg, seed=0, dtype=dtype)
+        rng = np.random.default_rng(7)
+        for w in model.weights.values():
+            w.data += (0.05 * rng.standard_normal(w.shape)).astype(dtype)
+        bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=dtype)
+        prompt = bank.assemble("walk_cycle")
+        stack = rng.standard_normal((40, 16, 17, 3)).astype(dtype)
+        x = rng.standard_normal((16, 17, 2)).astype(dtype)
+        want = np.stack([model.denoise_array(y, x, 70, prompt) for y in stack])
+        shares = []
+        forward = Denoiser._forward
+        monkeypatch.setattr(Denoiser, "_forward",
+                            lambda self, yt, *a: shares.append(len(yt)) or forward(self, yt, *a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to surface shared state
+        try:
+            got = model.denoise_array(stack, x, 70, prompt)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shares == [20, 20]
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "gate, threads, sizes, pooled",
+        [(48, "2", [1, 1, 1], True),  # a forward passes the gate: one per task
+         (96, "2", [2, 1], True),  # a share of 2 passes it: one forward per share
+         (97, "2", [1, 1, 1], False),  # neither: in order on the calling thread
+         (48, "1", [1, 1, 1], False)],  # one thread never batches
+    )
+    def test_task_rule_regimes(self, setup, monkeypatch, gate, threads, sizes, pooled):
+        # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
+        from posediff import denoiser
+
+        _, model, _, prompt, yt, x = setup
+        caller = threading.get_ident()
+        calls = []
+        forward = Denoiser._forward
+
+        def spy(self, task, *args):
+            lead = task.shape[0] if task.ndim == 4 else 1
+            calls.append((lead, threading.get_ident() != caller))
+            return forward(self, task, *args)
+
+        monkeypatch.setattr(Denoiser, "_forward", spy)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        stack = yt + np.arange(3)[:, None, None, None]
+        got = model.denoise_array(stack, x, 40, prompt)
+        assert sorted(size for size, _ in calls) == sorted(sizes)
+        assert all(off_caller == pooled for _, off_caller in calls)
+        want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
+        np.testing.assert_array_equal(got, want)
+
     @staticmethod
     def record_pools(monkeypatch):
         """The keyword arguments of every thread pool the denoiser opens from now."""
@@ -422,9 +489,11 @@ class TestDenoise:
         monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
         return pools
 
-    @pytest.mark.parametrize("gate, pooled", [(48, True), (49, False)])
+    @pytest.mark.parametrize("gate, pooled", [(48, True), (96, True), (97, False)])
     def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
-        # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
+        # the gate judges a thread's share: tiny_config's forward is 2 frames
+        # x 3 joints x 8 features = 48, and 3 hypotheses on 2 threads make
+        # shares of at most 2, so 96
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup

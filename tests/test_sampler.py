@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posediff.diffusion import build_schedule
+from posediff.diffusion import build_schedule, ddim_step, timestamp_for_iteration
 from posediff.exceptions import ConfigError, NumericsError
 from posediff.sampler import (
     CameraIntrinsics,
@@ -13,6 +13,7 @@ from posediff.sampler import (
     reproject,
     sample_initial_hypotheses,
 )
+from posediff.rng import gaussian
 
 CAM = CameraIntrinsics(fx=2.0, fy=2.0, cx=0.0, cy=0.0)
 
@@ -97,6 +98,40 @@ class TestDdimLoop:
         # one call per step on the whole stack, at T, T(1-1/M), ..., T/M
         want = [1000, 900, 800, 700, 600, 500, 400, 300, 200, 100]
         assert calls == [(t, (20, 2, 3, 3)) for t in want]
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_timestamp_collisions_reuse_the_prediction(self, deterministic):
+        # M > T: iterations that round to no lower timestamp take no step
+        T, M, H = 10, 25, 3
+        sched = build_schedule(T)
+        x = np.zeros((2, 3, 2))
+        hyp = sample_initial_hypotheses(H, 2, 3, seed=2)
+
+        def oracle(y, x, t):
+            return 0.9 * y + 0.01 * t
+
+        def denoise_every_iteration():  # the loop that called the denoiser M times
+            y, t_cur = hyp.hypotheses, T
+            for m in range(1, M + 1):
+                y0_hat = oracle(y, x, t_cur)
+                if m == M:
+                    break
+                t_next = timestamp_for_iteration(m, M, T)
+                if t_next >= t_cur:
+                    continue
+                noise = None if deterministic else np.stack(
+                    [gaussian(y.shape[1:], 7, "ddim", h, m) for h in range(H)]
+                )
+                y = ddim_step(y, y0_hat, t_cur, t_next, sched, noise)
+                t_cur = t_next
+            return y0_hat
+
+        calls = []
+        out = ddim_loop(x, hyp, M, lambda y, x, t: calls.append(t) or oracle(y, x, t),
+                        sched, deterministic=deterministic, seed=7)
+        visited = {T} | {timestamp_for_iteration(m, M, T) for m in range(1, M)}
+        assert calls == sorted(visited, reverse=True)  # 10, 9, ..., 0: 11 calls, not 25
+        np.testing.assert_array_equal(out.hypotheses, denoise_every_iteration())
 
     def test_oracle_returns_fixed_point(self):
         sched = build_schedule(1000)
