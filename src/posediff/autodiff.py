@@ -9,9 +9,10 @@ defined. Layer norm is a composition of these primitives. ``linear`` is a
 primitive with a hand-written backward, checked against finite differences
 by acceptance 4. Without a graph (inference), ``linear`` runs one 2-D GEMM
 per sequence over its flattened frame and joint axes, and ``layer_norm`` and
-``gelu`` each fill one output buffer in place. Every gradient in the package
-reduces to the rules below. Anything outside the set raises
-NotImplementedError at graph-construction time.
+``gelu`` each fill one output buffer in place: under ``no_grad``, a dead one
+from the thread's arena (``_buffer``), kept until the thread's outermost
+``no_grad`` block exits. Every gradient in the package reduces to the rules
+below. Anything outside the set raises NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
 ``requires_grad=True``. Broadcasting follows numpy semantics; the backward
@@ -21,6 +22,7 @@ pass sums gradients over broadcast axes.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -52,6 +54,24 @@ class no_grad:
 
     def __exit__(self, *exc):
         _state.no_grad_depth -= 1
+        if _state.no_grad_depth == 0:
+            vars(_state).pop("arena", None)
+
+
+def _buffer(shape, dtype) -> np.ndarray:
+    """An uninitialized array; under no_grad, a dead one from the thread's arena.
+
+    The arena keys flat buffers by (size, dtype); one is dead when the arena
+    holds its only reference (a view, ``Tensor`` or attention sink keeps it alive).
+    """
+    if _grad_enabled():
+        return np.empty(shape, dtype)
+    pool = vars(_state).setdefault("arena", {}).setdefault((math.prod(shape), np.dtype(dtype)), [])
+    for buf in pool:
+        if sys.getrefcount(buf) == 3:  # the pool, ``buf`` and the call's argument
+            return buf.reshape(shape)
+    pool.append(np.empty(math.prod(shape), dtype))
+    return pool[-1].reshape(shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -279,10 +299,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error GELU: x * Phi(x)."""
+    """Exact Gaussian-error GELU: x * Phi(x); without a graph, in one ``_buffer``."""
     x = _as_tensor(x)
     if not _recording(x):
-        out = np.multiply(x.data, _INV_SQRT2)
+        out = np.multiply(x.data, _INV_SQRT2, out=_buffer(x.shape, x.data.dtype))
         erf(out, out=out)
         out += 1.0
         out *= 0.5
@@ -303,12 +323,13 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply learnable scale and offset.
 
-    Without a graph: centre into one buffer, then normalize, scale and offset it.
+    Without a graph: centre into one ``_buffer``, then normalize, scale and offset it.
     """
     x, scale, offset = _as_tensor(x), _as_tensor(scale), _as_tensor(offset)
     if not _recording(x, scale, offset):
         inv_n = 1.0 / x.shape[-1]
-        out = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+        mean = x.data.sum(axis=-1, keepdims=True) * inv_n
+        out = np.subtract(x.data, mean, out=_buffer(x.shape, x.data.dtype))
         out *= (np.einsum("...i,...i->...", out, out)[..., None] * inv_n + eps) ** -0.5
         out *= scale.data
         out += offset.data
@@ -325,9 +346,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     With no graph to record (inference), the last two leading axes of x (a
     sequence's frames and joints) are flattened into rows: a (N, J, D) input
     costs one (N*J, D) @ (D, O) GEMM, so the weight is packed once rather
-    than N times. Axes before them are a batch: an (H, N, J, D) stack costs
-    H of those GEMMs, each rounding as it does alone (one GEMM over all
-    H*N*J rows may take another BLAS kernel, which rounds differently).
+    than N times, into one ``_buffer``. Axes before them are a batch: an
+    (H, N, J, D) stack costs H of those GEMMs, each rounding as it does alone
+    (one GEMM over all H*N*J rows may take another BLAS kernel, which rounds
+    differently).
 
     While recording, forward and backward keep per-leading-index products
     (and sum an (N, D, O) weight-gradient stack), so training rounds exactly
@@ -338,7 +360,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.ndim != 2:
         raise NotImplementedError("linear weight must be 2-D")
     if not _recording(x, weight, bias):
-        out = x.data.reshape(*x.shape[:-3], -1, x.shape[-1]) @ weight.data
+        rows = x.data.reshape(*x.shape[:-3], -1, x.shape[-1])
+        out = np.matmul(rows, weight.data, out=_buffer(
+            rows.shape[:-1] + weight.shape[-1:], np.result_type(rows, weight.data)))
         out += bias.data
         return Tensor(out.reshape(*x.shape[:-1], -1))
 

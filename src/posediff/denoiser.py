@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _grad_enabled, concat, gelu, layer_norm, linear, no_grad, softmax
+from .autodiff import Tensor, _buffer, _grad_enabled, concat, gelu, layer_norm, linear, no_grad, softmax
 from .exceptions import ConfigError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
@@ -274,7 +274,7 @@ class Denoiser:
         same normed x (self-attention) or from the ``context`` rows as given
         (cross-attention). Norm, projections and residual run in x's token
         layout; only the attention core sees the head split. Without a graph,
-        q carries 1/sqrt(d), and the scores, softmax and head merge reuse buffers.
+        q carries 1/sqrt(d), and the scores, softmax and head merge fill ``_buffer``s.
         """
         w = self._w
         h = layer_norm(x, w(f"{prefix}/ln/scale"), w(f"{prefix}/ln/offset"), LN_EPS)
@@ -287,17 +287,19 @@ class Denoiser:
         if _grad_enabled():
             attn = softmax(q @ k.permute(*lead, cols, rows) * scale, axis=-1)
             out = self._merge_heads(attn @ v)
+            a = attn.data
         else:
             q.data *= scale
-            attn = q @ k.permute(*lead, cols, rows)
-            a = attn.data
+            kt = k.data.transpose(*lead, cols, rows)
+            shape = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2]) + (q.shape[-2], kt.shape[-1])
+            a = np.matmul(q.data, kt, out=_buffer(shape, np.result_type(q.data, kt)))
             a -= a.max(axis=-1, keepdims=True)
             np.exp(a, out=a)
             a /= a.sum(axis=-1, keepdims=True)
-            out = Tensor(np.empty(x.shape, dtype=a.dtype))  # token layout
+            out = Tensor(_buffer(x.shape, a.dtype))  # token layout
             np.matmul(a, v.data, out=self._split_heads(out, seq_axis).data)
         if attn_sink is not None:
-            attn_sink.append(attn.data)
+            attn_sink.append(a)
         return _residual(x, linear(out, w(f"{prefix}/wo"), w(f"{prefix}/bo")))
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
@@ -372,7 +374,7 @@ class Denoiser:
           * one contiguous share per thread, each as one forward, if
             threads > 1 and share x E >= G;
           * else one hypothesis at a time on the calling thread (batching
-            on one thread is slower than per-hypothesis forwards).
+            on one thread measured no faster than per-hypothesis forwards).
         The budget is read (and checked) on every stack and never changes
         the result. Without a graph, the timestamp code is computed once per
         call (a graph computes it per use: sharing it would move training's

@@ -140,10 +140,9 @@ def reproject(poses: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     z = poses[..., 2]
     if np.any(z <= DEPTH_EPSILON):
         idx = tuple(int(i) for i in np.argwhere(z <= DEPTH_EPSILON)[0])
-        where = (
-            f"frame {idx[-2]}, joint {idx[-1]}" if len(idx) >= 2 else f"joint {idx[-1]}"
-        )
-        raise NumericsError(f"degenerate depth {z.min():.3g} at {where}")
+        axes = ("hypothesis", "frame", "joint")[-len(idx):]
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, idx[-3:]))
+        raise NumericsError(f"degenerate depth {z[idx]:.3g} at {where}")
     u = cam.fx * poses[..., 0] / z + cam.cx
     v = cam.fy * poses[..., 1] / z + cam.cy
     return np.stack([u, v], axis=-1)

@@ -1,11 +1,14 @@
 import contextlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from posediff.autodiff import Tensor, concat, gelu, layer_norm, linear, no_grad, softmax
+from posediff import autodiff
+from posediff.autodiff import Tensor, _buffer, concat, gelu, layer_norm, linear, no_grad, softmax
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -282,3 +285,103 @@ def test_deep_chain_does_not_recurse():
         y = y + 1.0
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, np.ones(2))
+
+
+# -- the no-grad buffer arena --------------------------------------------------
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("hold", [
+    lambda a: a,
+    lambda a: a.reshape(6, 4),
+    lambda a: a.T,
+    lambda a: Tensor(a),
+], ids=["direct", "reshape", "transpose", "tensor"])
+def test_live_buffer_is_not_handed_out_again(hold):
+    with no_grad():
+        kept = hold(_buffer((4, 6), np.float64))
+        data = kept.data if isinstance(kept, Tensor) else kept
+        data[...] = 1.0
+        for shape in [(4, 6), (24,), (2, 3, 4)]:
+            other = _buffer(shape, np.float64)
+            assert not np.shares_memory(other, data)
+            other[...] = 2.0
+        np.testing.assert_array_equal(data, 1.0)
+
+
+def test_dead_buffer_is_handed_out_at_its_size_and_dtype():
+    with no_grad():
+        first = _buffer((4, 6), np.float64)
+        second = _buffer((4, 6), np.float64)
+        assert not np.shares_memory(first, second)
+        addr = address(first)
+        del first
+        again = _buffer((6, 4), np.float64)  # same size, other shape
+        assert address(again) == addr
+        del again
+        other = _buffer((4, 6), np.float32)
+        assert address(other) != addr
+        assert other.dtype == np.float32 and other.shape == (4, 6)
+
+
+def test_grad_mode_buffer_is_fresh_and_builds_no_arena():
+    a = _buffer((4, 6), np.float64)
+    b = _buffer((4, 6), np.float64)
+    assert not np.shares_memory(a, b)
+    assert getattr(autodiff._state, "arena", None) is None
+
+
+def test_arena_lives_until_the_outermost_no_grad_exits():
+    with no_grad():
+        with no_grad():
+            kept = _buffer((8,), np.float64)
+            dead = _buffer((8,), np.float64)
+            addr = address(dead)
+            del dead
+        assert getattr(autodiff._state, "arena", None) is not None
+        again = _buffer((8,), np.float64)
+        assert address(again) == addr
+        assert not np.shares_memory(again, kept)
+    assert getattr(autodiff._state, "arena", None) is None
+    fresh = _buffer((8,), np.float64)  # grad mode again: no arena is rebuilt
+    assert not np.shares_memory(fresh, kept)
+    assert getattr(autodiff._state, "arena", None) is None
+
+
+def test_threads_never_share_a_buffer():
+    # more threads than cores, switching often: each fills every buffer it
+    # holds with its own marks, then checks them once all have filled theirs
+    n = 4
+    filled = threading.Barrier(n, timeout=30)
+    held, errors = {}, []
+
+    def worker(tid):
+        try:
+            with no_grad():
+                bufs = [_buffer((16,), np.float64) for _ in range(3)]
+                for i, b in enumerate(bufs):
+                    b[...] = 10 * tid + i
+                filled.wait()
+                for i, b in enumerate(bufs):
+                    np.testing.assert_array_equal(b, 10 * tid + i)
+                held[tid] = [address(b) for b in bufs]
+                filled.wait()  # every thread's buffers are still held here
+        except Exception as exc:  # surfaced on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len({a for addrs in held.values() for a in addrs}) == 3 * n

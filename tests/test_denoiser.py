@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import threading
@@ -550,3 +551,104 @@ class TestDenoise:
             np.zeros((2, 3, 3)), np.zeros((2, 3, 2)), 5, bank.assemble()
         )
         assert out.dtype == np.float32
+
+
+@functools.cache
+def perturbed_tiny_preset(dtype):
+    """The tiny preset's model (16x17x64, 4 heads), weights moved off their
+    init, and its prompt; shared by the tests, which only read them."""
+    cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
+    model = Denoiser.create(cfg, seed=0, dtype=dtype)
+    rng = np.random.default_rng(7)
+    for w in model.weights.values():
+        w.data += (0.05 * rng.standard_normal(w.shape)).astype(dtype)
+    bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=dtype)
+    return model, bank.assemble("walk_cycle")
+
+
+class TestBufferArena:
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "sequence"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arena_output_equals_fresh_buffers(self, monkeypatch, dtype, threads, stacked):
+        from posediff import autodiff, denoiser
+
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        model, prompt = perturbed_tiny_preset(dtype)
+        rng = np.random.default_rng(8)
+        yt = rng.standard_normal((4, 16, 17, 3) if stacked else (16, 17, 3)).astype(dtype)
+        x = rng.standard_normal((16, 17, 2)).astype(dtype)
+        got = model.denoise_array(yt, x, 70, prompt)
+        with monkeypatch.context() as m:
+            for module in (autodiff, denoiser):
+                m.setattr(module, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
+            want = model.denoise_array(yt, x, 70, prompt)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_kept_result_survives_a_second_call(self):
+        # a single sequence's result is the head's arena buffer itself; the
+        # outer block keeps the arena alive across both calls
+        model, prompt = perturbed_tiny_preset(np.float32)
+        rng = np.random.default_rng(8)
+        yt = rng.standard_normal((2, 16, 17, 3)).astype(np.float32)
+        x = rng.standard_normal((2, 16, 17, 2)).astype(np.float32)
+        with no_grad():
+            kept = model.denoise_array(yt[0], x[0], 70, prompt)
+            snapshot = kept.copy()
+            other = model.denoise_array(yt[1], x[1], 30, prompt)
+        assert not np.shares_memory(kept, other)
+        np.testing.assert_array_equal(kept, snapshot)
+
+    def test_library_call_keeps_no_arena(self):
+        from posediff import autodiff
+
+        model, prompt = perturbed_tiny_preset(np.float32)
+        rng = np.random.default_rng(8)
+        yt = rng.standard_normal((16, 17, 3)).astype(np.float32)
+        x = rng.standard_normal((16, 17, 2)).astype(np.float32)
+        model.denoise_array(yt, x, 70, prompt)
+        assert getattr(autodiff._state, "arena", None) is None
+
+    def test_attention_sinks_hold_their_own_blocks(self):
+        model, prompt = perturbed_tiny_preset(np.float64)
+        rng = np.random.default_rng(8)
+        f = Tensor(rng.standard_normal((16, 17, 64)))
+        sink, own = [], []
+        with no_grad():
+            for block in ("spatial0", "st0/spatial", "st1/spatial"):
+                f = model.mhsa_block(f, "spatial", block, attn_sink=sink)
+                own.append(sink[-1].copy())
+        for i, j in itertools.combinations(range(3), 2):
+            assert not np.shares_memory(sink[i], sink[j])
+        for got, want in zip(sink, own):
+            np.testing.assert_array_equal(got, want)
+
+    def test_repeated_forward_allocates_no_new_buffer(self, monkeypatch):
+        from posediff import autodiff, denoiser
+
+        model, prompt = perturbed_tiny_preset(np.float32)
+        rng = np.random.default_rng(8)
+        yt = rng.standard_normal((16, 17, 3)).astype(np.float32)
+        x = rng.standard_normal((16, 17, 2)).astype(np.float32)
+        allocations = []
+        empty = np.empty
+
+        def counted(*args, **kw):
+            if sys._getframe(1).f_code is autodiff._buffer.__code__:
+                allocations.append(args[0])
+            return empty(*args, **kw)
+
+        with monkeypatch.context() as m:
+            for module in (autodiff, denoiser):
+                m.setattr(module, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
+            want = model.denoise_array(yt, x, 70, prompt)
+        monkeypatch.setattr(np, "empty", counted)
+        with no_grad():
+            first = model.denoise_array(yt, x, 70, prompt).copy()
+            assert allocations
+            allocations.clear()
+            second = model.denoise_array(yt, x, 70, prompt)
+        assert allocations == []
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(second, want)

@@ -185,6 +185,15 @@ class TestReproject:
         with pytest.raises(NumericsError, match="frame 1, joint 2"):
             reproject(pts, CAM)
 
+    def test_degenerate_depth_in_a_stack_names_its_hypothesis(self):
+        # the first offending index is reported with its own depth, not the minimum
+        pts = np.ones((2, 4, 3, 3))
+        pts[0, 1, 2, 2] = 0.0
+        pts[1, 3, 0, 2] = -50.0
+        with pytest.raises(NumericsError) as err:
+            reproject(pts, CAM)
+        assert str(err.value) == "degenerate depth 0 at hypothesis 0, frame 1, joint 2"
+
     def test_default_camera(self):
         cam = default_camera()
         assert cam.fx == cam.fy == 1000.0
