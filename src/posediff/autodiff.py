@@ -58,17 +58,28 @@ class no_grad:
             vars(_state).pop("arena", None)
 
 
+def _refcounts(pool: list) -> list:
+    """``sys.getrefcount`` of each buffer in ``pool``: the arena's liveness test."""
+    return [sys.getrefcount(buf) for buf in pool]
+
+
+# What _refcounts reads for a buffer that only its list holds. Measured, since
+# interpreters count temporaries differently (CPython 3.14 borrows the loop
+# variable's reference); None, and no arena, where nothing is counted (PyPy).
+_DEAD = _refcounts([np.empty(1)])[0] if hasattr(sys, "getrefcount") else None
+
+
 def _buffer(shape, dtype) -> np.ndarray:
     """An uninitialized array; under no_grad, a dead one from the thread's arena.
 
     The arena keys flat buffers by (size, dtype); one is dead when the arena
     holds its only reference (a view, ``Tensor`` or attention sink keeps it alive).
     """
-    if _grad_enabled():
+    if _grad_enabled() or _DEAD is None:
         return np.empty(shape, dtype)
     pool = vars(_state).setdefault("arena", {}).setdefault((math.prod(shape), np.dtype(dtype)), [])
-    for buf in pool:
-        if sys.getrefcount(buf) == 3:  # the pool, ``buf`` and the call's argument
+    for buf, refs in zip(pool, _refcounts(pool)):
+        if refs == _DEAD:
             return buf.reshape(shape)
     pool.append(np.empty(math.prod(shape), dtype))
     return pool[-1].reshape(shape)

@@ -327,6 +327,32 @@ def test_dead_buffer_is_handed_out_at_its_size_and_dtype():
         assert other.dtype == np.float32 and other.shape == (4, 6)
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_arena_follows_the_measured_dead_count(monkeypatch, shift):
+    # an interpreter that counts one temporary fewer (a borrowed local) or one
+    # more reads every count shifted; the calibration at import shifts with it
+    counts = autodiff._refcounts
+    monkeypatch.setattr(autodiff, "_refcounts", lambda pool: [c + shift for c in counts(pool)])
+    monkeypatch.setattr(autodiff, "_DEAD", autodiff._refcounts([np.empty(1)])[0])
+    with no_grad():
+        kept = _buffer((8,), np.float64)
+        dead = _buffer((8,), np.float64)
+        addr = address(dead)
+        del dead
+        again = _buffer((8,), np.float64)
+        assert address(again) == addr
+        assert not np.shares_memory(again, kept)
+
+
+def test_no_reference_counts_means_no_arena(monkeypatch):
+    monkeypatch.setattr(autodiff, "_DEAD", None)  # as where sys.getrefcount is missing
+    with no_grad():
+        a = _buffer((4, 6), np.float64)
+        b = _buffer((4, 6), np.float64)
+        assert not np.shares_memory(a, b)
+        assert getattr(autodiff._state, "arena", None) is None
+
+
 def test_grad_mode_buffer_is_fresh_and_builds_no_arena():
     a = _buffer((4, 6), np.float64)
     b = _buffer((4, 6), np.float64)
