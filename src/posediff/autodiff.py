@@ -11,8 +11,10 @@ by acceptance 4. Without a graph (inference), ``linear`` runs one 2-D GEMM
 per sequence over its flattened frame and joint axes, and ``layer_norm`` and
 ``gelu`` each fill one output buffer in place: under ``no_grad``, a dead one
 from the thread's arena (``_buffer``), kept until the thread's outermost
-``no_grad`` block exits. Every gradient in the package reduces to the rules
-below. Anything outside the set raises NotImplementedError at graph time.
+``no_grad`` block exits. A ``denoiser.hypothesis_pool`` worker never leaves
+its block, so its arena lasts as long as the pool. Every gradient in the
+package reduces to the rules below. Anything outside the set raises
+NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
 ``requires_grad=True``. Broadcasting follows numpy semantics; the backward

@@ -4,8 +4,8 @@ Every command is deterministic under a fixed config and seed; rerunning
 produces byte-identical artifacts (the training log's wall-clock column
 excepted). Exit codes: 0 success, 1 user/config error, 2 internal invariant
 violation. During estimation each DDIM step denoises all hypotheses of a
-record in one call; the denoiser picks its own thread count for it
-(``denoiser.thread_budget``), which never changes outputs.
+record in one call, on one ``denoiser.hypothesis_pool`` that the whole run
+shares, sized once by ``denoiser.thread_budget``; neither changes outputs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .autodiff import no_grad
 from .config import build_runtime, config_hash, load_config, validate_config
 from .container import read_container, write_container
 from .data import (
@@ -30,6 +31,7 @@ from .data import (
     synth_generate,
     synth_generate_multi,
 )
+from .denoiser import hypothesis_pool, thread_budget
 from .exceptions import ConfigError, NumericsError, PoseDiffError
 from .metrics import REPORT_METRICS, coincident_frames, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
@@ -197,7 +199,7 @@ def _load_model(checkpoint_path, run_cfg=None):
         return build_runtime(stored, tensors)
 
 
-def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
+def _estimate_record(rec, runtime, H, M, base_seed, per_frame, pool):
     cfg, mc = runtime.cfg, runtime.model_config
     if (rec.n_frames, rec.n_joints) != (mc.n_frames, mc.n_joints):
         raise ConfigError(
@@ -212,7 +214,7 @@ def _estimate_record(rec, runtime, H, M, base_seed, per_frame):
     norm, params = normalize_record(rec, cfg["data"]["normalize"])
     prompt = prompt_for(runtime.bank, rec.action)
     x_norm = norm.keypoints_2d.astype(runtime.dtype)
-    denoise_fn = partial(runtime.model.denoise_array, prompt=prompt)  # the model casts yt
+    denoise_fn = partial(runtime.model.denoise_array, prompt=prompt, pool=pool)  # casts yt
     return estimate_single(
         x_norm, cam, denoise_fn, runtime.sched, H, M, seed,
         deterministic=cfg["sample"]["deterministic"], per_frame=per_frame,
@@ -242,7 +244,8 @@ def run_estimate(
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
     records = load_dataset(data_path)
-    results = [_estimate_record(rec, runtime, H, M, base_seed, per_frame) for rec in records]
+    with no_grad(), hypothesis_pool(min(thread_budget(), H)) as pool:  # arenas last the run
+        results = [_estimate_record(r, runtime, H, M, base_seed, per_frame, pool) for r in records]
 
     tensors, cam_notes = {}, {}
     for rec, (poses, index) in zip(records, results):

@@ -20,6 +20,8 @@ large ufuncs release the interpreter lock: one hypothesis per task when a
 forward is of paper size, else one contiguous share per thread, run as one
 forward, when a share is big enough that the threads stop queueing on the
 lock. Smaller stacks run one hypothesis at a time on the calling thread.
+A ``hypothesis_pool`` worker stays in ``no_grad`` for life, so its buffer
+arena lasts as long as the pool: one call's, or one that a caller passes in.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,8 @@ from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
 
 __all__ = [
-    "DenoiserConfig", "Denoiser", "init_denoiser_weights", "sinusoid_embedding", "thread_budget"
+    "DenoiserConfig", "Denoiser", "hypothesis_pool", "init_denoiser_weights", "sinusoid_embedding",
+    "thread_budget",
 ]
 
 WEIGHT_STD = 0.02
@@ -77,6 +81,11 @@ def thread_budget() -> int:
     if workers < 1:
         raise ConfigError(f"POSEDIFF_THREADS must be an integer >= 1, got {raw!r}")
     return workers
+
+
+def hypothesis_pool(threads: int) -> ThreadPoolExecutor:
+    """``threads`` workers that each enter ``no_grad`` as they start and never leave it."""
+    return ThreadPoolExecutor(max_workers=threads, initializer=no_grad().__enter__)
 
 
 @dataclass(frozen=True)
@@ -361,7 +370,7 @@ class Denoiser:
 
     # -- full forward ----------------------------------------------------------
 
-    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None) -> Tensor:
+    def denoise(self, yt, x, t, prompt: PromptEmbedding | None = None, pool=None) -> Tensor:
         """Full forward pass; returns the predicted clean pose as (N, J, 3).
 
         For inference only, ``yt`` may also be an (H, N, J, 3) hypothesis
@@ -375,10 +384,12 @@ class Denoiser:
             threads > 1 and share x E >= G;
           * else one hypothesis at a time on the calling thread (batching
             on one thread measured no faster than per-hypothesis forwards).
-        The budget is read (and checked) on every stack and never changes
-        the result. Without a graph, the timestamp code is computed once per
-        call (a graph computes it per use: sharing it would move training's
-        rounding).
+        The tasks run on ``pool`` (a ``hypothesis_pool``, whose workers stand
+        in for the budget), else on a pool of this call's budget; neither
+        changes the result. Each task copies its predictions into its rows of
+        the output, so no arena buffer leaves its thread. Without a graph, the
+        timestamp code is computed once per call (a graph computes it per
+        use: sharing it would move training's rounding).
         """
         yt = np.asarray(yt)
         temb = None if _grad_enabled() else self.timestamp_embed(t)
@@ -391,25 +402,24 @@ class Denoiser:
         cfg = self.config
         per_forward = cfg.n_frames * cfg.n_joints * cfg.feature_dim
         hyps = len(yt)
-        threads = min(thread_budget(), hyps)
+        threads = min(thread_budget() if pool is None else pool._max_workers, hyps)
+        out = np.empty(yt.shape, self.dtype)
         if threads > 1 and per_forward >= PARALLEL_MIN_ELEMENTS:
-            tasks = list(yt)
+            tasks = yt, out
         elif threads > 1 and math.ceil(hyps / threads) * per_forward >= PARALLEL_MIN_ELEMENTS:
-            tasks = np.array_split(yt, threads)
+            tasks = np.array_split(yt, threads), np.array_split(out, threads)
         else:
-            threads, tasks = 1, list(yt)
+            threads, tasks = 1, (yt, out)
 
-        def forward(task):
-            with no_grad():  # grad mode is per thread
-                out = self._forward(task, x, t, prompt, temb).data
-            return out if out.ndim == 4 else out[None]
+        def forward(task, rows):
+            rows[...] = self._forward(task, x, t, prompt, temb).data
 
         if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(forward, tasks))
+            with nullcontext(pool) if pool is not None else hypothesis_pool(threads) as pool:
+                list(pool.map(forward, *tasks))
         else:
-            outs = [forward(task) for task in tasks]
-        return Tensor(np.concatenate(outs))
+            list(map(forward, *tasks))
+        return Tensor(out)
 
     def _forward(self, yt, x, t, prompt, temb) -> Tensor:
         cfg = self.config
@@ -426,10 +436,10 @@ class Denoiser:
         f = self.spatio_temporal_stack(f)
         return self.decode_head(f)
 
-    def denoise_array(self, yt, x, t, prompt=None) -> np.ndarray:
+    def denoise_array(self, yt, x, t, prompt=None, pool=None) -> np.ndarray:
         """Inference convenience: no graph construction, plain ndarray out."""
         with no_grad():
-            return self.denoise(yt, x, t, prompt).data
+            return self.denoise(yt, x, t, prompt, pool).data
 
     def trainable(self) -> dict:
         return dict(self.weights)

@@ -105,9 +105,10 @@ def test_pool_size_is_threads_capped_by_hypotheses(estimate_inputs, tmp_path, mo
     ckpt, data = estimate_inputs
     pools = []
 
-    class InlinePool:  # records its arguments and starts no thread
-        def __init__(self, **kwargs):
-            pools.append(kwargs)
+    class InlinePool:  # records its width and starts no thread
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+            self._max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -115,12 +116,12 @@ def test_pool_size_is_threads_capped_by_hypotheses(estimate_inputs, tmp_path, mo
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *items):
+            return map(fn, *items)
 
     monkeypatch.setattr(denoiser, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
     monkeypatch.setenv("POSEDIFF_THREADS", threads)
     cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=H, iterations=2)
-    # one pool per DDIM step of each of the 2 records
-    assert pools == [{"max_workers": max_workers}] * 4
+    # one pool for the whole run: both DDIM steps of each of the 2 records
+    assert pools == [max_workers]

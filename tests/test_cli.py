@@ -1,7 +1,9 @@
 import csv
+import itertools
 import json
 import os
 import re
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +14,10 @@ from posediff.cli import main, run_estimate, run_eval, run_plot, run_synth, run_
 from posediff.config import config_hash, load_config, preset
 from posediff.container import read_container, write_container
 from posediff.data import load_dataset, save_dataset, synth_generate
-from posediff.exceptions import ConfigError
+from posediff.denoiser import Denoiser
+from posediff.exceptions import ConfigError, NumericsError
+
+from test_denoiser import record_pools, spy_forwards
 
 
 # config keys that left the schema, each with a value it used to take
@@ -579,6 +584,76 @@ class TestEstimateCommand:
                 run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=5,
                              iterations=2, seed=5)
                 assert p1.read_bytes() == p2.read_bytes(), (gate, threads)
+
+    @pytest.mark.parametrize("threads, max_workers", [("2", 2), ("8", 3)])
+    def test_one_pool_serves_the_whole_run(self, workspace, tmp_path, monkeypatch, threads,
+                                           max_workers):
+        from posediff import denoiser
+
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        _, forwards = spy_forwards(monkeypatch)
+        run_estimate(workspace["ckpt"], workspace["data"], tmp_path / "p.ptc", hypotheses=3,
+                     iterations=3, seed=5)
+        assert sum(forwards.values()) == 4 * 3 * 3  # records x steps x hypotheses
+        assert pools == [max_workers]
+
+    def spied_run(self, workspace, tmp_path, monkeypatch):
+        """An H=2, M=3 estimate of the 4 records, one hypothesis per task on 2
+        workers that each run a forward in the first step, under ``spy_forwards``."""
+        from posediff import denoiser
+
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        allocations, forwards = spy_forwards(monkeypatch, meet=2)
+        run_estimate(workspace["ckpt"], workspace["data"], tmp_path / "p.ptc", hypotheses=2,
+                     iterations=3, seed=5)
+        assert sum(forwards.values()) == 4 * 3 * 2
+        return allocations, forwards
+
+    def test_no_arena_buffer_is_allocated_after_the_first_step(self, workspace, tmp_path,
+                                                               monkeypatch):
+        allocations, forwards = self.spied_run(workspace, tmp_path, monkeypatch)
+        workers = set(forwards) - {threading.current_thread()}
+        assert {thread for thread, _, _ in allocations} >= workers and len(workers) == 2
+        assert {step for _, step, _ in allocations} == {1}  # the caller's arena too
+
+    def test_pool_threads_live_as_long_as_the_run(self, workspace, tmp_path, monkeypatch):
+        from posediff import autodiff
+
+        before = set(threading.enumerate())
+        _, forwards = self.spied_run(workspace, tmp_path, monkeypatch)
+        workers = set(forwards) - {threading.current_thread()}
+        assert len(workers) == 2  # the same 2 for all 12 steps
+        assert not any(w.is_alive() for w in workers)
+        assert set(threading.enumerate()) == before
+        assert getattr(autodiff._state, "arena", None) is None
+
+    def test_failing_worker_leaves_no_thread_or_file(self, workspace, tmp_path, monkeypatch,
+                                                     capsys):
+        from posediff import denoiser
+
+        calls, forward = itertools.count(1), Denoiser._forward
+        caller = threading.current_thread()
+
+        def third_fails(self, *args):
+            if next(calls) == 3:
+                assert threading.current_thread() is not caller
+                raise NumericsError("injected")
+            return forward(self, *args)
+
+        monkeypatch.setattr(Denoiser, "_forward", third_fails)
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        before = set(threading.enumerate())
+        out = tmp_path / "p.ptc"
+        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
+                     "--data", str(workspace["data"]), "--out", str(out),
+                     "--hypotheses", "2", "--iterations", "2"]) == 2
+        assert "injected" in capsys.readouterr().err
+        assert not out.exists()
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize(
         "env, cpus, workers",

@@ -31,6 +31,59 @@ def tiny_config(**kw):
     return DenoiserConfig(**base)
 
 
+def record_pools(monkeypatch):
+    """The ``max_workers`` of every thread pool the denoiser opens from now."""
+    from posediff import denoiser
+
+    pools = []
+
+    class Pool(denoiser.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+def spy_forwards(monkeypatch, meet=0):
+    """From now on, record each new arena buffer as (thread, step, forward).
+
+    A step is one ``Denoiser.denoise`` call, counted from 1 on the calling
+    thread; a thread's forwards (``Denoiser._forward`` calls) count from 1,
+    and the returned ``forwards`` maps each thread to how many it ran. With
+    ``meet``, that many other threads wait for each other in step 1, so
+    each of them runs a forward there.
+    """
+    from posediff import autodiff
+
+    caller, barrier = threading.current_thread(), threading.Barrier(meet or 1)
+    steps, forwards, allocations = [0], {}, []
+    empty, denoise, forward = np.empty, Denoiser.denoise, Denoiser._forward
+
+    def counted_denoise(self, *args, **kw):
+        steps[0] += 1
+        return denoise(self, *args, **kw)
+
+    def counted_forward(self, *args):
+        me = threading.current_thread()
+        forwards[me] = forwards.get(me, 0) + 1
+        if meet and me is not caller and steps[0] == 1:
+            barrier.wait(timeout=60)
+        return forward(self, *args)
+
+    def counted_empty(*args, **kw):
+        if sys._getframe(1).f_code is autodiff._buffer.__code__:
+            me = threading.current_thread()
+            allocations.append((me, steps[0], forwards.get(me, 0)))
+        return empty(*args, **kw)
+
+    monkeypatch.setattr(Denoiser, "denoise", counted_denoise)
+    monkeypatch.setattr(Denoiser, "_forward", counted_forward)
+    monkeypatch.setattr(np, "empty", counted_empty)
+    return allocations, forwards
+
+
 @pytest.fixture
 def setup():
     cfg = tiny_config()
@@ -475,21 +528,6 @@ class TestDenoise:
         want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
         np.testing.assert_array_equal(got, want)
 
-    @staticmethod
-    def record_pools(monkeypatch):
-        """The keyword arguments of every thread pool the denoiser opens from now."""
-        from posediff import denoiser
-
-        pools = []
-
-        class Pool(denoiser.ThreadPoolExecutor):
-            def __init__(self, **kw):
-                pools.append(kw)
-                super().__init__(**kw)
-
-        monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
-        return pools
-
     @pytest.mark.parametrize("gate, pooled", [(48, True), (96, True), (97, False)])
     def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
         # the gate judges a thread's share: tiny_config's forward is 2 frames
@@ -498,11 +536,11 @@ class TestDenoise:
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup
-        pools = self.record_pools(monkeypatch)
+        pools = record_pools(monkeypatch)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
         monkeypatch.setenv("POSEDIFF_THREADS", "2")
         model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
-        assert pools == ([{"max_workers": 2}] if pooled else [])
+        assert pools == ([2] if pooled else [])
 
     @pytest.mark.parametrize("threads, max_workers", [("3", 3), ("8", 4)])
     def test_library_call_pools_the_thread_budget(self, setup, monkeypatch, threads,
@@ -510,11 +548,32 @@ class TestDenoise:
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup
-        pools = self.record_pools(monkeypatch)
+        pools = record_pools(monkeypatch)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 48)  # at the gate
         monkeypatch.setenv("POSEDIFF_THREADS", threads)
         model.denoise_array(np.stack([yt] * 4), x, 40, prompt)
-        assert pools == [{"max_workers": max_workers}]
+        assert pools == [max_workers]
+
+    def test_library_call_pool_keeps_its_arenas_then_joins(self, setup, monkeypatch):
+        # 4 hypotheses, one per task, on 2 workers: one worker runs 2 or more
+        from posediff import autodiff, denoiser
+
+        _, model, _, prompt, yt, x = setup
+        stack = yt + np.arange(4)[:, None, None, None]
+        want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 48)
+        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        before = set(threading.enumerate())
+        pools = record_pools(monkeypatch)
+        allocations, forwards = spy_forwards(monkeypatch)
+        got = model.denoise_array(stack, x, 40, prompt)
+        workers = set(forwards) - {threading.current_thread()}
+        assert pools == [2] and len(workers) <= 2 and max(forwards[w] for w in workers) >= 2
+        # a worker's arena holds all one forward needs after its first
+        assert {nth for thread, _, nth in allocations if thread in workers} == {1}
+        assert set(threading.enumerate()) == before
+        assert getattr(autodiff._state, "arena", None) is None
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("threads", ["0", "-3", "many"])
     def test_bad_thread_budget_raises_below_the_gate(self, setup, monkeypatch, threads):
