@@ -314,16 +314,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error GELU: x * Phi(x); without a graph, in one ``_buffer``."""
     x = _as_tensor(x)
-    if not _recording(x):
-        out = np.multiply(x.data, _INV_SQRT2, out=_buffer(x.shape, x.data.dtype))
-        erf(out, out=out)
-        out += 1.0
-        out *= 0.5
-        out *= x.data
-        return Tensor(out)
-    cdf = erf(x.data * _INV_SQRT2)
+    cdf = np.multiply(x.data, _INV_SQRT2, out=_buffer(x.shape, x.data.dtype))
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    if not _recording(x):
+        cdf *= x.data
+        return Tensor(cdf)
     out = x.data * cdf
 
     def backward(g):

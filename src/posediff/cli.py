@@ -5,7 +5,7 @@ produces byte-identical artifacts (the training log's wall-clock column
 excepted). Exit codes: 0 success, 1 user/config error, 2 internal invariant
 violation. During estimation each DDIM step denoises all hypotheses of a
 record in one call, on one ``denoiser.hypothesis_pool`` that the whole run
-shares, sized once by ``denoiser.thread_budget``; neither changes outputs.
+shares, the only pool the package opens; neither changes outputs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .data import (
     synth_generate,
     synth_generate_multi,
 )
-from .denoiser import hypothesis_pool, thread_budget
+from .denoiser import hypothesis_pool
 from .exceptions import ConfigError, NumericsError, PoseDiffError
 from .metrics import REPORT_METRICS, coincident_frames, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
@@ -244,7 +244,7 @@ def run_estimate(
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
     records = load_dataset(data_path)
-    with no_grad(), hypothesis_pool(min(thread_budget(), H)) as pool:  # arenas last the run
+    with no_grad(), hypothesis_pool(H) as pool:  # arenas last the run
         results = [_estimate_record(r, runtime, H, M, base_seed, per_frame, pool) for r in records]
 
     tensors, cam_notes = {}, {}

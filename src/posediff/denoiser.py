@@ -15,13 +15,12 @@ cross-attention, ``use_pts`` the stylization.
 Inference also takes a leading hypothesis axis: without a graph, every
 stage runs on an (h, N, J, .) stack as it does on one (N, J, .) sequence,
 and each hypothesis's rows round exactly as in its own forward. ``denoise``
-spreads a stack over up to ``thread_budget()`` threads, whose GEMMs and
-large ufuncs release the interpreter lock: one hypothesis per task when a
-forward is of paper size, else one contiguous share per thread, run as one
-forward, when a share is big enough that the threads stop queueing on the
-lock. Smaller stacks run one hypothesis at a time on the calling thread.
-A ``hypothesis_pool`` worker stays in ``no_grad`` for life, so its buffer
-arena lasts as long as the pool: one call's, or one that a caller passes in.
+runs a stack on the calling thread, or spreads it over the workers of the
+``hypothesis_pool`` it is handed, whose GEMMs and large ufuncs release the
+interpreter lock: one hypothesis per task when a forward is of paper size,
+else one contiguous share per thread, run as one forward, when a share is
+big enough that the threads stop queueing on the lock. A pool worker stays
+in ``no_grad`` for life, so its buffer arena lasts as long as the pool.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,36 +54,30 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def thread_budget() -> int:
-    """Hypothesis threads: ``POSEDIFF_THREADS``, else usable CPUs // BLAS threads.
+    """Hypothesis threads: usable CPUs // BLAS threads.
 
     BLAS threads come from the first of ``BLAS_THREAD_VARS`` holding a
     positive integer, as OpenBLAS reads them; with none, BLAS takes every
     core, so one worker keeps workers x BLAS threads within the cores.
+    Narrowing the CPU affinity (``taskset``) narrows the budget.
     """
-    raw = os.environ.get("POSEDIFF_THREADS")
-    if raw is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-        cpus = len(affinity(0)) if affinity else os.cpu_count()
-        for var in BLAS_THREAD_VARS:
-            try:
-                blas = int(os.environ.get(var, ""))
-            except ValueError:
-                continue
-            if blas >= 1:
-                return max(1, cpus // blas)
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"POSEDIFF_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas >= 1:
+            return max(1, cpus // blas)
+    return 1
 
 
-def hypothesis_pool(threads: int) -> ThreadPoolExecutor:
-    """``threads`` workers that each enter ``no_grad`` as they start and never leave it."""
-    return ThreadPoolExecutor(max_workers=threads, initializer=no_grad().__enter__)
+def hypothesis_pool(hypotheses: int) -> ThreadPoolExecutor:
+    """``min(thread_budget(), hypotheses)`` workers that each enter ``no_grad``
+    as they start and never leave it."""
+    workers = min(thread_budget(), hypotheses)
+    return ThreadPoolExecutor(max_workers=workers, initializer=no_grad().__enter__)
 
 
 @dataclass(frozen=True)
@@ -376,18 +368,16 @@ class Denoiser:
         For inference only, ``yt`` may also be an (H, N, J, 3) hypothesis
         stack; the predictions come back stacked in hypothesis order, each
         bitwise equal to its own (N, J, 3) forward. With E = frames x joints
-        x feature_dim, ``threads = min(thread_budget(), H)`` and a share of
-        ``ceil(H / threads)`` hypotheses, a stack runs
-          * one hypothesis per pool task if threads > 1 and E >= G,
-            ``PARALLEL_MIN_ELEMENTS``;
-          * one contiguous share per thread, each as one forward, if
-            threads > 1 and share x E >= G;
-          * else one hypothesis at a time on the calling thread (batching
-            on one thread measured no faster than per-hypothesis forwards).
-        The tasks run on ``pool`` (a ``hypothesis_pool``, whose workers stand
-        in for the budget), else on a pool of this call's budget; neither
-        changes the result. Each task copies its predictions into its rows of
-        the output, so no arena buffer leaves its thread. Without a graph, the
+        x feature_dim, G = ``PARALLEL_MIN_ELEMENTS``, ``threads`` the workers
+        of ``pool`` (a ``hypothesis_pool``) capped at H, or 1 without one,
+        and a share of ``ceil(H / threads)`` hypotheses, a stack runs
+          * one hypothesis per task if E >= G, which bounds memory;
+          * else one contiguous share per thread, each as one forward, or
+            the whole stack as one forward if threads == 1 or share x E < G.
+        The tasks go to ``pool`` only when more than one thread is left, so
+        without a pool the stack runs on the calling thread; neither changes
+        the result. Each task copies its predictions into its rows of the
+        output, so no arena buffer leaves its thread. Without a graph, the
         timestamp code is computed once per call (a graph computes it per
         use: sharing it would move training's rounding).
         """
@@ -402,23 +392,19 @@ class Denoiser:
         cfg = self.config
         per_forward = cfg.n_frames * cfg.n_joints * cfg.feature_dim
         hyps = len(yt)
-        threads = min(thread_budget() if pool is None else pool._max_workers, hyps)
+        threads = 1 if pool is None else min(pool._max_workers, hyps)
         out = np.empty(yt.shape, self.dtype)
-        if threads > 1 and per_forward >= PARALLEL_MIN_ELEMENTS:
+        if per_forward >= PARALLEL_MIN_ELEMENTS or not hyps:  # an empty stack runs no task
             tasks = yt, out
         elif threads > 1 and math.ceil(hyps / threads) * per_forward >= PARALLEL_MIN_ELEMENTS:
             tasks = np.array_split(yt, threads), np.array_split(out, threads)
         else:
-            threads, tasks = 1, (yt, out)
+            threads, tasks = 1, ([yt], [out])
 
         def forward(task, rows):
             rows[...] = self._forward(task, x, t, prompt, temb).data
 
-        if threads > 1:
-            with nullcontext(pool) if pool is not None else hypothesis_pool(threads) as pool:
-                list(pool.map(forward, *tasks))
-        else:
-            list(map(forward, *tasks))
+        list((pool.map if threads > 1 else map)(forward, *tasks))
         return Tensor(out)
 
     def _forward(self, yt, x, t, prompt, temb) -> Tensor:

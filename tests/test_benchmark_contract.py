@@ -18,6 +18,7 @@ from posediff import cli, denoiser, sampler, training
 from posediff.data import save_dataset, synth_generate
 
 from test_cli import tiny_cfg
+from test_denoiser import pin_cpus
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -90,7 +91,7 @@ def test_patched_names_run_on_the_calling_thread(estimate_inputs, tmp_path, monk
     monkeypatch.setattr(Den, "_forward", spy("forward", Den._forward))
     monkeypatch.setattr(cli, "estimate_single", spy("estimate_single", cli.estimate_single))
     monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-    monkeypatch.setenv("POSEDIFF_THREADS", "2")
+    pin_cpus(monkeypatch, 2)
     cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=3, iterations=2)
 
     caller = {threading.get_ident()}
@@ -99,7 +100,7 @@ def test_patched_names_run_on_the_calling_thread(estimate_inputs, tmp_path, monk
     assert threads["forward"] - caller  # the pool ran the forwards
 
 
-@pytest.mark.parametrize("threads, H, max_workers", [("2", 3, 2), (str(10**6), 3, 3)])
+@pytest.mark.parametrize("threads, H, max_workers", [(2, 3, 2), (10**6, 3, 3)])
 def test_pool_size_is_threads_capped_by_hypotheses(estimate_inputs, tmp_path, monkeypatch,
                                                    threads, H, max_workers):
     ckpt, data = estimate_inputs
@@ -121,7 +122,7 @@ def test_pool_size_is_threads_capped_by_hypotheses(estimate_inputs, tmp_path, mo
 
     monkeypatch.setattr(denoiser, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-    monkeypatch.setenv("POSEDIFF_THREADS", threads)
+    pin_cpus(monkeypatch, threads)
     cli.run_estimate(ckpt, data, tmp_path / "p.ptc", hypotheses=H, iterations=2)
     # one pool for the whole run: both DDIM steps of each of the 2 records
     assert pools == [max_workers]

@@ -17,7 +17,7 @@ from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.denoiser import Denoiser
 from posediff.exceptions import ConfigError, NumericsError
 
-from test_denoiser import record_pools, spy_forwards
+from test_denoiser import pin_cpus, record_pools, spy_forwards
 
 
 # config keys that left the schema, each with a value it used to take
@@ -578,21 +578,21 @@ class TestEstimateCommand:
         # hypothesis per pool task, gate 4353 one share per thread
         for gate in (0, 4353):
             monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("POSEDIFF_THREADS", threads)
+            for threads in (1, 2, 3):
+                pin_cpus(monkeypatch, threads)
                 p2 = tmp_path / f"p{threads}.ptc"
                 run_estimate(workspace["ckpt"], workspace["data"], p2, hypotheses=5,
                              iterations=2, seed=5)
                 assert p1.read_bytes() == p2.read_bytes(), (gate, threads)
 
-    @pytest.mark.parametrize("threads, max_workers", [("2", 2), ("8", 3)])
+    @pytest.mark.parametrize("threads, max_workers", [(2, 2), (8, 3)])
     def test_one_pool_serves_the_whole_run(self, workspace, tmp_path, monkeypatch, threads,
                                            max_workers):
         from posediff import denoiser
 
         pools = record_pools(monkeypatch)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        pin_cpus(monkeypatch, threads)
         _, forwards = spy_forwards(monkeypatch)
         run_estimate(workspace["ckpt"], workspace["data"], tmp_path / "p.ptc", hypotheses=3,
                      iterations=3, seed=5)
@@ -605,7 +605,7 @@ class TestEstimateCommand:
         from posediff import denoiser
 
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        pin_cpus(monkeypatch, 2)
         allocations, forwards = spy_forwards(monkeypatch, meet=2)
         run_estimate(workspace["ckpt"], workspace["data"], tmp_path / "p.ptc", hypotheses=2,
                      iterations=3, seed=5)
@@ -645,7 +645,7 @@ class TestEstimateCommand:
 
         monkeypatch.setattr(Denoiser, "_forward", third_fails)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        pin_cpus(monkeypatch, 2)
         before = set(threading.enumerate())
         out = tmp_path / "p.ptc"
         assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
@@ -665,32 +665,18 @@ class TestEstimateCommand:
          ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
          ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
          ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 4, 2),
-         ({"OMP_NUM_THREADS": "4,2"}, 4, 1),
-         ({"OPENBLAS_NUM_THREADS": "1", "POSEDIFF_THREADS": "3"}, 2, 3),
-         ({"POSEDIFF_THREADS": "2"}, 1, 2)],
+         ({"OMP_NUM_THREADS": "4,2"}, 4, 1)],
     )
     def test_default_thread_budget(self, monkeypatch, env, cpus, workers):
         from posediff.denoiser import thread_budget
 
-        for var in ("POSEDIFF_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                    "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert thread_budget() == workers
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_thread_count_below_one_is_config_error(self, workspace, tmp_path, monkeypatch,
-                                                    capsys, threads):
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
-        capsys.readouterr()
-        out = tmp_path / "p.ptc"
-        assert main(["estimate", "--checkpoint", str(workspace["ckpt"]),
-                     "--data", str(workspace["data"]), "--out", str(out),
-                     "--hypotheses", "1", "--iterations", "1"]) == 1
-        assert "POSEDIFF_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import sys
 import threading
 
@@ -10,11 +11,12 @@ from posediff.autodiff import Tensor, no_grad
 from posediff.denoiser import (
     Denoiser,
     DenoiserConfig,
+    hypothesis_pool,
     init_denoiser_weights,
     sinusoid_embedding,
     weight_shapes,
 )
-from posediff.exceptions import ConfigError, ShapeError
+from posediff.exceptions import ShapeError
 from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
 
 from test_prompts import stub_encoder
@@ -44,6 +46,15 @@ def record_pools(monkeypatch):
 
     monkeypatch.setattr(denoiser, "ThreadPoolExecutor", Pool)
     return pools
+
+
+def pin_cpus(monkeypatch, cpus):
+    """Give ``thread_budget`` ``cpus`` threads as the benchmark does: that
+    many usable CPUs, each BLAS call pinned to one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
 
 
 def spy_forwards(monkeypatch, meet=0):
@@ -440,12 +451,12 @@ class TestDenoise:
             if all(flags):
                 np.testing.assert_allclose(inferred, ref_inferred, rtol=1e-5)
 
-    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_hypothesis_stack_equals_stacked_single_calls(self, monkeypatch, threads):
         from posediff import denoiser
 
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        pin_cpus(monkeypatch, threads)
         cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
         model = Denoiser.create(cfg, seed=0, dtype=np.float32)
         bank = PromptBank(PromptSpec(), HashTextEncoder(64, seed=1), seed=2, dtype=np.float32)
@@ -457,7 +468,8 @@ class TestDenoise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, to surface shared state
         try:
-            got = model.denoise_array(stack, x, 70, prompt)
+            with hypothesis_pool(len(stack)) as pool:
+                got = model.denoise_array(stack, x, 70, prompt, pool=pool)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got, want)
@@ -473,7 +485,7 @@ class TestDenoise:
         cfg = DenoiserConfig(n_frames=16, n_joints=17, feature_dim=64, heads=4)
         per_forward = 16 * 17 * 64
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", per_forward + 1)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        pin_cpus(monkeypatch, 2)
         model = Denoiser.create(cfg, seed=0, dtype=dtype)
         rng = np.random.default_rng(7)
         for w in model.weights.values():
@@ -490,7 +502,8 @@ class TestDenoise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, to surface shared state
         try:
-            got = model.denoise_array(stack, x, 70, prompt)
+            with hypothesis_pool(len(stack)) as pool:
+                got = model.denoise_array(stack, x, 70, prompt, pool=pool)
         finally:
             sys.setswitchinterval(interval)
         assert shares == [20, 20]
@@ -499,10 +512,11 @@ class TestDenoise:
 
     @pytest.mark.parametrize(
         "gate, threads, sizes, pooled",
-        [(48, "2", [1, 1, 1], True),  # a forward passes the gate: one per task
-         (96, "2", [2, 1], True),  # a share of 2 passes it: one forward per share
-         (97, "2", [1, 1, 1], False),  # neither: in order on the calling thread
-         (48, "1", [1, 1, 1], False)],  # one thread never batches
+        [(48, 2, [1, 1, 1], True),  # a forward passes the gate: one per task
+         (96, 2, [2, 1], True),  # a share of 2 passes it: one forward per share
+         (97, 2, [3], False),  # neither: the stack as one forward on the calling thread
+         (48, 1, [1, 1, 1], False),  # a forward passes it on one thread: one per task
+         (97, 1, [3], False)],  # one thread below it: the stack as one forward
     )
     def test_task_rule_regimes(self, setup, monkeypatch, gate, threads, sizes, pooled):
         # tiny_config's forward is 2 frames x 3 joints x 8 features = 48
@@ -520,9 +534,10 @@ class TestDenoise:
 
         monkeypatch.setattr(Denoiser, "_forward", spy)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        pin_cpus(monkeypatch, threads)
         stack = yt + np.arange(3)[:, None, None, None]
-        got = model.denoise_array(stack, x, 40, prompt)
+        with hypothesis_pool(len(stack)) as pool:
+            got = model.denoise_array(stack, x, 40, prompt, pool=pool)
         assert sorted(size for size, _ in calls) == sorted(sizes)
         assert all(off_caller == pooled for _, off_caller in calls)
         want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
@@ -532,27 +547,31 @@ class TestDenoise:
     def test_size_gate_picks_the_pool(self, setup, monkeypatch, gate, pooled):
         # the gate judges a thread's share: tiny_config's forward is 2 frames
         # x 3 joints x 8 features = 48, and 3 hypotheses on 2 threads make
-        # shares of at most 2, so 96
+        # shares of at most 2, so 96; below it the pool starts no worker
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup
-        pools = record_pools(monkeypatch)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
-        model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
-        assert pools == ([2] if pooled else [])
+        pin_cpus(monkeypatch, 2)
+        with hypothesis_pool(3) as pool:
+            model.denoise_array(np.stack([yt] * 3), x, 40, prompt, pool=pool)
+            assert bool(pool._threads) == pooled
 
-    @pytest.mark.parametrize("threads, max_workers", [("3", 3), ("8", 4)])
+    @pytest.mark.parametrize("threads, max_workers", [(3, 3), (8, 4)])
     def test_library_call_pools_the_thread_budget(self, setup, monkeypatch, threads,
                                                   max_workers):
+        # a library caller's hypothesis_pool(H) holds the budget, capped at H
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup
         pools = record_pools(monkeypatch)
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 48)  # at the gate
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
-        model.denoise_array(np.stack([yt] * 4), x, 40, prompt)
+        pin_cpus(monkeypatch, threads)
+        _, forwards = spy_forwards(monkeypatch)
+        with hypothesis_pool(4) as pool:
+            model.denoise_array(np.stack([yt] * 4), x, 40, prompt, pool=pool)
         assert pools == [max_workers]
+        assert threading.current_thread() not in forwards
 
     def test_library_call_pool_keeps_its_arenas_then_joins(self, setup, monkeypatch):
         # 4 hypotheses, one per task, on 2 workers: one worker runs 2 or more
@@ -562,11 +581,12 @@ class TestDenoise:
         stack = yt + np.arange(4)[:, None, None, None]
         want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
         monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 48)
-        monkeypatch.setenv("POSEDIFF_THREADS", "2")
+        pin_cpus(monkeypatch, 2)
         before = set(threading.enumerate())
         pools = record_pools(monkeypatch)
         allocations, forwards = spy_forwards(monkeypatch)
-        got = model.denoise_array(stack, x, 40, prompt)
+        with hypothesis_pool(len(stack)) as pool:
+            got = model.denoise_array(stack, x, 40, prompt, pool=pool)
         workers = set(forwards) - {threading.current_thread()}
         assert pools == [2] and len(workers) <= 2 and max(forwards[w] for w in workers) >= 2
         # a worker's arena holds all one forward needs after its first
@@ -575,15 +595,40 @@ class TestDenoise:
         assert getattr(autodiff._state, "arena", None) is None
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "many"])
-    def test_bad_thread_budget_raises_below_the_gate(self, setup, monkeypatch, threads):
+    def test_pool_less_stack_runs_on_the_calling_thread(self, setup, monkeypatch):
+        # a budget of 2 and a gate every forward passes: a pool would take
+        # the stack, but a call without one starts no thread
         from posediff import denoiser
 
         _, model, _, prompt, yt, x = setup
-        assert 2 * 3 * 8 < denoiser.PARALLEL_MIN_ELEMENTS
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
-        with pytest.raises(ConfigError, match="POSEDIFF_THREADS"):
-            model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
+        stack = yt + np.arange(3)[:, None, None, None]
+        want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 0)
+        pin_cpus(monkeypatch, 2)
+        before = set(threading.enumerate())
+        pools, during = record_pools(monkeypatch), []
+        forward = Denoiser._forward
+        monkeypatch.setattr(Denoiser, "_forward", lambda self, *args: (
+            during.append(set(threading.enumerate())) or forward(self, *args)))
+        got = model.denoise_array(stack, x, 40, prompt)
+        assert pools == [] and during == [before] * 3
+        assert set(threading.enumerate()) == before
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("gate", [0, 97])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_empty_stack_runs_no_forward(self, setup, monkeypatch, gate, pooled):
+        from posediff import denoiser
+
+        _, model, _, prompt, _, x = setup
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", gate)
+        monkeypatch.setattr(Denoiser, "_forward",
+                            lambda self, *args: pytest.fail("an empty stack ran a forward"))
+        pin_cpus(monkeypatch, 2)
+        with hypothesis_pool(2) as pool:
+            got = model.denoise_array(np.empty((0, 2, 3, 3), np.float32), x, 40, prompt,
+                                      pool=pool if pooled else None)
+        assert got.shape == (0, 2, 3, 3) and got.dtype == model.dtype
 
     def test_hypothesis_stack_while_recording_raises(self, setup):
         _, model, _, prompt, yt, x = setup
@@ -627,17 +672,18 @@ def perturbed_tiny_preset(dtype):
 
 class TestBufferArena:
     @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "sequence"])
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_arena_output_equals_fresh_buffers(self, monkeypatch, dtype, threads, stacked):
         from posediff import autodiff, denoiser
 
-        monkeypatch.setenv("POSEDIFF_THREADS", threads)
+        pin_cpus(monkeypatch, threads)
         model, prompt = perturbed_tiny_preset(dtype)
         rng = np.random.default_rng(8)
         yt = rng.standard_normal((4, 16, 17, 3) if stacked else (16, 17, 3)).astype(dtype)
         x = rng.standard_normal((16, 17, 2)).astype(dtype)
-        got = model.denoise_array(yt, x, 70, prompt)
+        with hypothesis_pool(4) as pool:
+            got = model.denoise_array(yt, x, 70, prompt, pool=pool)
         with monkeypatch.context() as m:
             for module in (autodiff, denoiser):
                 m.setattr(module, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
