@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _buffer, _grad_enabled, concat, gelu, layer_norm, linear, no_grad, softmax
+from .autodiff import Tensor, _buffer, _grad_enabled, _row_max, concat, gelu, layer_norm, linear, no_grad, softmax
 from .exceptions import ConfigError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
@@ -286,7 +286,7 @@ class Denoiser:
         scale = 1.0 / math.sqrt(self.config.head_dim)
         *lead, rows, cols = range(k.ndim)
         if _grad_enabled():
-            attn = softmax(q @ k.permute(*lead, cols, rows) * scale, axis=-1)
+            attn = softmax(q @ k.permute(*lead, cols, rows) * scale)
             out = self._merge_heads(attn @ v)
             a = attn.data
         else:
@@ -294,7 +294,7 @@ class Denoiser:
             kt = k.data.transpose(*lead, cols, rows)
             shape = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2]) + (q.shape[-2], kt.shape[-1])
             a = np.matmul(q.data, kt, out=_buffer(shape, np.result_type(q.data, kt)))
-            a -= a.max(axis=-1, keepdims=True)
+            a -= _row_max(a)
             np.exp(a, out=a)
             a /= a.sum(axis=-1, keepdims=True)
             out = Tensor(_buffer(x.shape, a.dtype))  # token layout

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from posediff import autodiff
-from posediff.autodiff import Tensor, _buffer, concat, gelu, layer_norm, linear, no_grad, softmax
+from posediff.autodiff import Tensor, _buffer, _row_max, concat, gelu, layer_norm, linear, no_grad, softmax
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -120,12 +120,37 @@ def test_gelu_values():
     np.testing.assert_allclose(gelu(x).data, [0.0, 10.0, 0.0], atol=1e-8)
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+def softmax_reference(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_and_gelu_match_reference_formulas_bitwise(dtype):
     # the ops work in place on their temporaries; results must not move
-    a = (3 * np.random.default_rng(4).standard_normal((2, 5, 7))).astype(dtype)
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    np.testing.assert_array_equal(softmax(Tensor(a)).data, e / e.sum(axis=-1, keepdims=True))
+    rng = np.random.default_rng(4)
+    a = (3 * rng.standard_normal((2, 5, 7))).astype(dtype)
+    assert_bitwise(softmax(Tensor(a)).data, softmax_reference(a))
+    # rows on both sides of the column-wise max's length limit, and rows
+    # holding NaN, +inf (in the last column), -inf, and +0 mixed with -0
+    for n in (1, 16, 17, 32, 33, 77, 243):
+        rows = (3 * rng.standard_normal((6, 4, n))).astype(dtype)
+        rows[1, :, n // 2] = np.nan
+        rows[2, :, -1] = np.inf
+        rows[3, :, :: 2] = -np.inf
+        rows[4] = -np.inf
+        zeros = rng.choice(np.array([0.0, -0.0], dtype), (4, n))
+        rows[5] = np.where(rng.random((4, n)) < 0.5, zeros, -np.abs(rows[5]))
+        with np.errstate(invalid="ignore"):
+            assert_bitwise(_row_max(rows)[:5], rows[:5].max(axis=-1, keepdims=True))
+            # numpy's reduce picks a zero max's sign by SIMD lane: equal in value
+            np.testing.assert_array_equal(_row_max(rows[5]), rows[5].max(axis=-1, keepdims=True))
+            assert_bitwise(softmax(Tensor(rows)).data, softmax_reference(rows))
     cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
     for recording in (False, True):  # gelu has a branch for each
         out = gelu(Tensor(a, requires_grad=recording))
@@ -220,6 +245,47 @@ def test_diamond_graph_accumulates():
     z = a * a + a * a
     z.sum().backward()
     np.testing.assert_allclose(a.grad, 4 * a.data)
+
+
+def test_gradient_contributions_accumulate_in_traversal_order():
+    # x feeds three products, and its gradient sums their contributions as
+    # (m1 + m2) + m3. In float32 these round to another value in any order
+    # that adds m3 first, so a reordered traversal fails here.
+    c1, c2, c3 = np.float32(1.0), np.float32(3 * 2.0**-25), np.float32(2.0**-24)
+    today = (c1 + c2) + c3
+    assert today != (c1 + c3) + c2 and today != (c2 + c3) + c1
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    (x * c1 + x * c2 + x * c3).sum().backward()
+    assert_bitwise(x.grad, np.full(3, today))
+
+
+_ARITH = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}
+
+
+@pytest.mark.parametrize("upstream", [None, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, shape, const", [
+    ("mul", (3, 4), 2.0),
+    ("mul", (3, 4), 0.1),  # not exact in float32: a float64 upstream must see the float32 value
+    ("add", (3, 4), 1.0),
+    ("sub", (3, 4), (4,)),  # t broadcasts the constant
+    ("sub", (4,), (2, 3, 4)),  # the constant broadcasts t
+])
+def test_constant_operand_records_no_parent(op, shape, const, dtype, upstream):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape).astype(dtype)
+    c = rng.standard_normal(const).astype(dtype) if isinstance(const, tuple) else const
+    # the constant as a Tensor operand, which records it as a second parent
+    wrapped = Tensor(np.asarray(c, dtype=dtype) if isinstance(c, float) else c)
+    t, ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    out, two = _ARITH[op](t, c), _ARITH[op](ref, wrapped)
+    assert len(out._parents) == 1 and out._parents[0] is t
+    assert len(two._parents) == 2
+    assert_bitwise(out.data, two.data)
+    g = rng.standard_normal(out.shape).astype(upstream or dtype)
+    out.backward(g)
+    two.backward(g)
+    assert_bitwise(t.grad, ref.grad)
 
 
 def test_no_grad_skips_graph():
