@@ -3,14 +3,15 @@
 The op set is deliberately closed, and holds what the model records:
 matmul, ``linear(x, w, b)``, add and subtract, Hadamard product (scaling is a
 product with a Python scalar), concat, softmax, GELU, mean/sum, permute,
-reshape (positional dims), sqrt and scalar powers. A tensor is always the
-left operand: negation, division and reflected operators (``2 * t``) are not
-defined. A constant right operand of ``+``, ``-`` or ``*`` records no parent
-and takes no gradient work. Softmax works over the last axis and takes a
-short row's max column by column (``_row_max``), faster than numpy's reduce.
-Layer norm is a composition of these primitives. ``linear`` is a
-primitive with a hand-written backward, checked against finite differences
-by acceptance 4. Without a graph (inference), ``linear`` runs one 2-D GEMM
+reshape (positional dims), sqrt and layer norm. A tensor is always the
+left operand: powers, negation, division and reflected operators (``2 * t``)
+are not defined. A constant right operand of ``+``, ``-`` or ``*`` records no
+parent and takes no gradient work. Softmax works over the last axis and takes
+a short row's max column by column (``_row_max``), faster than numpy's reduce.
+``linear`` and ``layer_norm`` are primitives with hand-written backwards,
+checked against finite differences by acceptance 4; layer norm's node repeats
+the arithmetic of its composition from the ops above, so training rounds as
+that composition did. Without a graph (inference), ``linear`` runs one 2-D GEMM
 per sequence over its flattened frame and joint axes, and ``layer_norm`` and
 ``gelu`` each fill one output buffer in place: under ``no_grad``, a dead one
 from the thread's arena (``_buffer``), kept until the thread's outermost
@@ -218,13 +219,6 @@ class Tensor:
 
         return Tensor._make(a.data * bd, (a,) if b is None else (a, b), backward)
 
-    def __pow__(self, p):
-        if isinstance(p, Tensor):
-            raise NotImplementedError("tensor exponents are outside the op set")
-        a = self
-        out = a.data**p
-        return Tensor._make(out, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
     def sqrt(self):
         a = self
         out = np.sqrt(a.data)
@@ -362,6 +356,10 @@ def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> T
     """Normalize over the last axis, then apply learnable scale and offset.
 
     Without a graph: centre into one ``_buffer``, then normalize, scale and offset it.
+    While recording: one node, parents ``(x, x, scale, offset)``, running the
+    ufuncs of the ``Tensor``-op composition ``xc = x - x.mean(-1)``, ``xc *
+    ((xc * xc).mean(-1) + eps) ** -0.5 * scale + offset`` in order at x's dtype,
+    both ways; x takes the subtract path's gradient, then the mean path's.
     """
     x, scale, offset = _as_tensor(x), _as_tensor(scale), _as_tensor(offset)
     if not _recording(x, scale, offset):
@@ -372,10 +370,31 @@ def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> T
         out *= scale.data
         out += offset.data
         return Tensor(out)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * (var + eps) ** -0.5 * scale + offset
+    inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)  # Tensor.mean's constant
+    s1 = x.data.sum(axis=-1, keepdims=True)
+    mu = s1 * inv_n
+    xc = x.data - mu
+    s2 = (xc * xc).sum(axis=-1, keepdims=True)
+    var = s2 * inv_n
+    ve = var + np.asarray(eps, x.data.dtype)
+    r = ve**-0.5
+    y1 = xc * r
+
+    # The row statistics live as long as the graph, as the composed nodes kept
+    # them: with MALLOC_MMAP_THRESHOLD_ set, glibc trims the heap a step frees
+    # and the next step re-faults it; these small blocks pin it (a tiny step:
+    # 160-1,200 page faults with them, 1,400-4,400 and up to 20,000 without).
+    def backward(g, rows=(s1, mu, s2, var)):
+        gy1 = _unbroadcast(g * scale.data, y1.shape)
+        gxc = _unbroadcast(gy1 * r, xc.shape)
+        gve = _unbroadcast(gy1 * xc, r.shape) * -0.5 * ve**-1.5
+        twin = np.broadcast_to(gve * inv_n, xc.shape) * xc  # (xc * xc)'s gradient, once per factor
+        gxc += twin
+        gxc += twin
+        gmean = np.broadcast_to(_unbroadcast(-gxc, r.shape) * inv_n, x.shape)
+        return gxc, gmean, _unbroadcast(g * y1, scale.shape), _unbroadcast(g, offset.shape)
+
+    return Tensor._make(y1 * scale.data + offset.data, (x, x, scale, offset), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -17,6 +17,7 @@ from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.denoiser import Denoiser
 from posediff.exceptions import ConfigError, NumericsError
 
+from test_autodiff import composed_layer_norm
 from test_denoiser import pin_cpus, record_pools, spy_forwards
 
 
@@ -1300,3 +1301,21 @@ class TestPipelineDeterminism:
         pred_b, rep_b = pipeline("b")
         assert pred_a == pred_b
         assert rep_a == rep_b
+
+    def test_training_checkpoint_matches_composed_layer_norm(self, tmp_path, monkeypatch, tiny_data):
+        # layer_norm records one node whose backward repeats the arithmetic of
+        # its Tensor-op composition; a few tiny-preset steps with either must
+        # write the same checkpoint tensors, byte for byte
+        from posediff import denoiser
+
+        def checkpoint(tag):
+            cfg = load_config(None, "tiny")
+            ckpt, _ = run_train(cfg, tiny_data, tmp_path / tag, max_steps=3, epochs=10**6)
+            return read_container(ckpt)[0]
+
+        node = checkpoint("node")
+        monkeypatch.setattr(denoiser, "layer_norm", composed_layer_norm)
+        composed = checkpoint("composed")
+        assert node.keys() == composed.keys()
+        for name, t in node.items():
+            assert t.dtype == composed[name].dtype and t.tobytes() == composed[name].tobytes(), name
