@@ -1,24 +1,23 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The op set is deliberately closed, and holds what the model records:
-matmul, ``linear(x, w, b)``, add and subtract, Hadamard product (scaling is a
-product with a Python scalar), concat, softmax, GELU, mean/sum, permute,
-reshape (positional dims), sqrt and layer norm. A tensor is always the
-left operand: powers, negation, division and reflected operators (``2 * t``)
-are not defined. A constant right operand of ``+``, ``-`` or ``*`` records no
-parent and takes no gradient work. Softmax works over the last axis and takes
-a short row's max column by column (``_row_max``), faster than numpy's reduce.
-``linear`` and ``layer_norm`` are primitives with hand-written backwards,
-checked against finite differences by acceptance 4; layer norm's node repeats
-the arithmetic of its composition from the ops above, so training rounds as
-that composition did. Without a graph (inference), ``linear`` runs one 2-D GEMM
-per sequence over its flattened frame and joint axes, and ``layer_norm`` and
-``gelu`` each fill one output buffer in place: under ``no_grad``, a dead one
-from the thread's arena (``_buffer``), kept until the thread's outermost
-``no_grad`` block exits. A ``denoiser.hypothesis_pool`` worker never leaves
-its block, so its arena lasts as long as the pool. Every gradient in the
-package reduces to the rules below. Anything outside the set raises
-NotImplementedError at graph time.
+``linear(x, w, b)`` (matmul is the tests' reference for it), add and subtract,
+Hadamard product (scaling is a product with a Python scalar), concat,
+multi-head attention, GELU, mean/sum, permute, reshape (positional dims), sqrt
+and layer norm. A tensor is always the left operand: powers, negation,
+division and reflected operators (``2 * t``) are not defined. A constant right
+operand of ``+``, ``-`` or ``*`` records no parent and takes no gradient work.
+``linear``, ``layer_norm`` and ``attention`` have hand-written backwards,
+checked against finite differences by acceptance 4; the last two repeat the
+arithmetic of their former ``Tensor``-op compositions, so training rounds as
+those did. The attention's softmax takes a short row's max column by column
+(``_row_max``). Without a graph, ``linear`` runs one 2-D GEMM per sequence
+over its flattened frame and joint axes, ``layer_norm``, ``gelu`` and
+``attention`` work in place, and under ``no_grad`` all four write into dead
+buffers from the thread's arena (``_buffer``), kept until the thread's
+outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool`` worker never
+leaves its block). Every gradient in the package reduces to the rules below.
+Anything outside the set raises NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
 ``requires_grad=True``. Broadcasting follows numpy semantics; the backward
@@ -34,7 +33,7 @@ import threading
 import numpy as np
 from scipy.special import erf
 
-__all__ = ["Tensor", "no_grad", "concat", "softmax", "gelu", "layer_norm", "linear"]
+__all__ = ["Tensor", "no_grad", "concat", "attention", "gelu", "layer_norm", "linear"]
 
 # grad mode is thread-local: concurrent inference threads each disable graph
 # construction for themselves without touching the training thread. A depth
@@ -252,8 +251,6 @@ class Tensor:
 
     def permute(self, *axes):
         a = self
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return Tensor._make(
             a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),)
@@ -314,18 +311,52 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    x = _as_tensor(x)
-    y = x.data - _row_max(x.data)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+def _head_split(a: np.ndarray, heads: int, seq_axis: int):
+    """(..., D) as an (other token axes..., heads, S, D / heads) view, and its axis order."""
+    seq = seq_axis % a.ndim
+    a = a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads)
+    axes = tuple(i for i in range(a.ndim - 2) if i != seq) + (a.ndim - 2, seq, a.ndim - 1)
+    return a.transpose(axes), axes
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, seq_axis: int, scale: float, sink=None):
+    """Multi-head ``softmax(q kᵀ * scale) v`` over token-layout ``(..., D)`` tensors.
+
+    Heads split the last axis as views, the sequence on ``seq_axis``; k's and
+    v's leading axes broadcast against q's. The scores fill one ``_buffer``,
+    then scale and softmax in place (``_row_max``); the output fills a
+    ``_buffer`` of q's token shape through its head split, and ``sink``, if
+    given, receives the probabilities. While recording: one node, parents
+    ``(q, k, v)``, keeping the probabilities; its backward runs the ufuncs of
+    the ``Tensor``-op composition (split, ``q @ kᵀ``, ``* scale``, softmax,
+    ``@ v``, merge) in order, so training rounds as that composition did.
+    """
+    splits = [_head_split(t.data, heads, seq_axis) for t in (q, k, v)]
+    (q4, _), (k4, _), (v4, _) = splits
+    kt = np.swapaxes(k4, -1, -2)
+    shape = np.broadcast_shapes(q4.shape[:-2], kt.shape[:-2]) + (q4.shape[-2], kt.shape[-1])
+    a = np.matmul(q4, kt, out=_buffer(shape, np.result_type(q4, kt)))
+    factor = np.asarray(scale, a.dtype)  # the composition's constant operand
+    a *= factor
+    a -= _row_max(a)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    out = _buffer(q.shape[:-1] + v.shape[-1:], np.result_type(a, v4))
+    np.matmul(a, v4, out=_head_split(out, heads, seq_axis)[0])
+    if sink is not None:
+        sink.append(a)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        go = _head_split(g, heads, seq_axis)[0]
+        ga = _unbroadcast(go @ np.swapaxes(v4, -1, -2), a.shape)
+        gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, v4.shape)
+        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * factor
+        gq = _unbroadcast(gs @ np.swapaxes(kt, -1, -2), q4.shape)
+        gk = np.swapaxes(_unbroadcast(np.swapaxes(q4, -1, -2) @ gs, kt.shape), -1, -2)
+        return tuple(g4.transpose(np.argsort(axes)).reshape(t.shape)
+                     for g4, (_, axes), t in zip((gq, gk, gv), splits, (q, k, v)))
 
-    return Tensor._make(y, (x,), backward)
+    return Tensor._make(out, (q, k, v), backward)
 
 
 # python floats: numpy scalar constants would promote float32 arrays to float64

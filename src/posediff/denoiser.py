@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _buffer, _grad_enabled, _row_max, concat, gelu, layer_norm, linear, no_grad, softmax
+from .autodiff import Tensor, _grad_enabled, attention, concat, gelu, layer_norm, linear, no_grad
 from .exceptions import ConfigError, ShapeError
 from .prompts import TOTAL_TOKENS, PromptEmbedding
 from .rng import gaussian
@@ -254,53 +254,20 @@ class Denoiser:
 
     # -- attention blocks ----------------------------------------------------
 
-    def _split_heads(self, x: Tensor, seq_axis: int = -2) -> Tensor:
-        # (..., D) -> (other token axes..., H, S, d), S being x's seq_axis; a view
-        cfg = self.config
-        seq = seq_axis % x.ndim
-        x = x.reshape(*x.shape[:-1], cfg.heads, cfg.head_dim)
-        batch = tuple(a for a in range(x.ndim - 2) if a != seq)
-        return x.permute(batch + (x.ndim - 2, seq, x.ndim - 1))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        # (..., H, S, d) -> (..., S, D)
-        axes = tuple(range(x.ndim))
-        x = x.permute(axes[:-3] + (axes[-2], axes[-3], axes[-1]))
-        return x.reshape(*x.shape[:-2], self.config.feature_dim)
-
     def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None, seq_axis=-2):
-        """Pre-norm residual multi-head attention over x's ``seq_axis``.
+        """Pre-norm residual multi-head attention over x's ``seq_axis``, in x's token layout.
 
-        Queries come from the layer-normed x. Keys and values come from the
-        same normed x (self-attention) or from the ``context`` rows as given
-        (cross-attention). Norm, projections and residual run in x's token
-        layout; only the attention core sees the head split. Without a graph,
-        q carries 1/sqrt(d), and the scores, softmax and head merge fill ``_buffer``s.
+        Queries come from the layer-normed x; keys and values from the same
+        normed x (self-attention) or from the ``context`` rows (cross-attention).
         """
         w = self._w
         h = layer_norm(x, w(f"{prefix}/ln/scale"), w(f"{prefix}/ln/offset"), LN_EPS)
         kv = h if context is None else context
-        q = self._split_heads(linear(h, w(f"{prefix}/wq"), w(f"{prefix}/bq")), seq_axis)
-        k = self._split_heads(linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk")), seq_axis)
-        v = self._split_heads(linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv")), seq_axis)
-        scale = 1.0 / math.sqrt(self.config.head_dim)
-        *lead, rows, cols = range(k.ndim)
-        if _grad_enabled():
-            attn = softmax(q @ k.permute(*lead, cols, rows) * scale)
-            out = self._merge_heads(attn @ v)
-            a = attn.data
-        else:
-            q.data *= scale
-            kt = k.data.transpose(*lead, cols, rows)
-            shape = np.broadcast_shapes(q.shape[:-2], kt.shape[:-2]) + (q.shape[-2], kt.shape[-1])
-            a = np.matmul(q.data, kt, out=_buffer(shape, np.result_type(q.data, kt)))
-            a -= _row_max(a)
-            np.exp(a, out=a)
-            a /= a.sum(axis=-1, keepdims=True)
-            out = Tensor(_buffer(x.shape, a.dtype))  # token layout
-            np.matmul(a, v.data, out=self._split_heads(out, seq_axis).data)
-        if attn_sink is not None:
-            attn_sink.append(a)
+        q = linear(h, w(f"{prefix}/wq"), w(f"{prefix}/bq"))
+        k = linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk"))
+        v = linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv"))
+        cfg = self.config
+        out = attention(q, k, v, cfg.heads, seq_axis, 1.0 / math.sqrt(cfg.head_dim), attn_sink)
         return _residual(x, linear(out, w(f"{prefix}/wo"), w(f"{prefix}/bo")))
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:

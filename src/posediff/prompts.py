@@ -140,7 +140,7 @@ class PromptEmbedding:
 
 
 def _pool_selector(spec: PromptSpec) -> np.ndarray:
-    """(1, 77) matrix averaging the last row of each prompt block."""
+    """(1, 77) matrix averaging each prompt block's last row, a frozen text row."""
     sel = np.zeros((1, TOTAL_TOKENS))
     ends = np.cumsum(spec.token_budget)
     sel[0, ends - 1] = 1.0 / len(spec.token_budget)
@@ -185,7 +185,8 @@ class PromptBank:
             pieces.append(mod)
             pieces.append(Tensor(txt))
         tokens = concat(pieces, axis=0)
-        pooled = Tensor(_pool_selector(self.spec).astype(self.dtype)) @ tokens
+        # only frozen rows: a graph node would send modifiers exact zeros
+        pooled = Tensor(_pool_selector(self.spec).astype(self.dtype) @ tokens.data)
         return PromptEmbedding(tokens=tokens, pooled=pooled)
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from posediff.autodiff import attention
 from posediff.cli import _load_model, run_estimate, run_eval, run_train
 from posediff.config import build_runtime, load_config
 from posediff.container import read_container
@@ -107,7 +108,11 @@ def test_03_forward_process_moments():
     report(3, f"mean err {mean_err:.4f} < {3 * se_mean:.4f}, var err {var_err:.4f} < {3 * se_var:.4f}")
 
 
-def test_04_gradient_oracle_tiny_config():
+def test_04_gradient_oracle_tiny_config(monkeypatch):
+    from posediff import denoiser
+
+    nodes = []  # the attention cores of the latest loss
+    monkeypatch.setattr(denoiser, "attention", lambda *a: nodes.append(attention(*a)) or nodes[-1])
     cfg = DenoiserConfig(n_frames=2, n_joints=3, feature_dim=8, heads=2)
     model = Denoiser.create(cfg, seed=3)
     bank = PromptBank(PromptSpec(), HashTextEncoder(8, seed=4), seed=5)
@@ -117,6 +122,7 @@ def test_04_gradient_oracle_tiny_config():
     target = rng.standard_normal((2, 3, 3))
 
     def build_loss():
+        nodes.clear()
         return mse_loss(target, model.denoise(yt, x, 11, bank.assemble("walk_cycle")))
 
     params = dict(model.trainable())
@@ -125,6 +131,8 @@ def test_04_gradient_oracle_tiny_config():
     checked = gradient_check(build_loss, params, step=1e-5, rtol=1e-4, atol=1e-8, max_entries=4)
     elapsed = time.perf_counter() - t0
     assert set(checked) == set(params)  # every trainable tensor
+    # each self-attention block and the cross-attention recorded one node
+    assert len(nodes) == len(cfg.block_names()) + 1 and all(len(n._parents) == 3 for n in nodes)
     assert elapsed < 120.0
     report(4, f"{len(checked)} tensors (FPP+FPC+PTS path) in {elapsed:.1f}s")
 
@@ -311,8 +319,11 @@ def test_10_end_to_end_determinism(tmp_path):
              tensors_digest(tmp_path / "a.ptc"),
              hashlib.sha256(a[2]).digest(), hashlib.sha256(a[3]).digest()]
     numerics = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+    # and one over the checkpoint's tensors alone: a change to inference
+    # rounding moves the second digest but not this one
+    trained = hashlib.sha256(parts[0]).hexdigest()[:16]
     report(10, f"two train->estimate->eval pipelines byte-identical, sha256 {digest}, "
-               f"tensors-only sha256 {numerics}")
+               f"tensors-only sha256 {numerics}, checkpoint tensors sha256 {trained}")
 
 
 def test_11_ablation_plumbing(tmp_path):

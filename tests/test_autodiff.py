@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from posediff import autodiff
-from posediff.autodiff import Tensor, _buffer, _row_max, concat, gelu, layer_norm, linear, no_grad, softmax
+from posediff.autodiff import Tensor, _buffer, _row_max, attention, concat, gelu, layer_norm, linear, no_grad
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -90,6 +90,20 @@ def test_sqrt_grad():
         return ((a * a).mean() + 1.0).sqrt()
 
     check_op(build, (4,))
+
+
+def softmax(x):
+    """Softmax over the last axis as one node: the op ``attention`` absorbed,
+    kept as a piece of ``composed_attention``."""
+    y = x.data - _row_max(x.data)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    return Tensor._make(y, (x,), backward)
 
 
 def test_softmax_grad():
@@ -227,6 +241,118 @@ def test_layer_norm_node_rounds_like_the_composition(dtype, shape, axes):
         results.append([y.data, x.grad, scale.grad, offset.grad])
     for got, want in zip(*results):
         assert_bitwise(got, want)
+
+
+def composed_attention(q, k, v, heads, seq_axis, scale, sink=None):
+    """Attention composed from ``Tensor`` ops and ``softmax``; ``attention``'s node must round exactly like it."""
+
+    def split(t):  # (..., D) -> (other token axes..., heads, S, D / heads)
+        seq = seq_axis % t.ndim
+        t = t.reshape(*t.shape[:-1], heads, t.shape[-1] // heads)
+        axes = (*(i for i in range(t.ndim - 2) if i != seq), t.ndim - 2, seq, t.ndim - 1)
+        return t.permute(*axes), axes
+
+    (q4, axes), (k4, _), (v4, _) = split(q), split(k), split(v)
+    *lead, rows, cols = range(k4.ndim)
+    attn = softmax(q4 @ k4.permute(*lead, cols, rows) * scale)
+    if sink is not None:
+        sink.append(attn.data)
+    return (attn @ v4).permute(*np.argsort(axes)).reshape(*q.shape)
+
+
+# (x shape, context shape or None, permute x's first two axes as the temporal blocks do)
+ATTENTION_CASES = {
+    "spatial": ((4, 5, 24), None, False),
+    "temporal": ((4, 5, 24), None, True),
+    "cross": ((2, 6, 24), (77, 24), False),  # k and v broadcast over q's leading axis
+}
+
+
+def _attention_inputs(case, dtype, seed=9):
+    rng = np.random.default_rng(seed)
+    x_shape, c_shape, _ = ATTENTION_CASES[case]
+    d = x_shape[-1]
+    arrays = {"x": rng.standard_normal(x_shape)}
+    if c_shape:
+        arrays["c"] = rng.standard_normal(c_shape)
+    for n in "qkv":
+        arrays[f"w{n}"] = rng.standard_normal((d, d)) / math.sqrt(d)
+        arrays[f"b{n}"] = 0.1 * rng.standard_normal(d)
+    return {name: (3 * a if name in ("x", "c") else a).astype(dtype) for name, a in arrays.items()}
+
+
+def _record_attention(attend, case, arrays, g):
+    """Run ``attend`` in a residual block of ``case`` and backpropagate ``g``: the
+    output, the gradients by name, the probabilities and (node, q, k, v)."""
+    t = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    permuted = ATTENTION_CASES[case][2]
+    h = t["x"] * 2.0
+    h = h.permute(1, 0, 2) if permuted else h
+    kv = t["c"] if "c" in t else h
+    q, k, v = (linear(src, t[f"w{n}"], t[f"b{n}"]) for src, n in ((h, "q"), (kv, "k"), (kv, "v")))
+    sink = []
+    out = attend(q, k, v, 3, -2, 1.0 / math.sqrt(8), sink)  # head_dim 8: an inexact scale
+    y = h + out
+    y = y.permute(1, 0, 2) if permuted else y
+    y.backward(g)
+    return y.data, {name: u.grad for name, u in t.items()}, sink[0], (out, q, k, v)
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_node_rounds_like_the_composition(dtype, case):
+    # h feeds q, k and v (and a residual): its gradient sums their
+    # contributions in the composition's traversal order
+    arrays = _attention_inputs(case, dtype)
+    g = np.random.default_rng(10).standard_normal(ATTENTION_CASES[case][0]).astype(dtype)
+    y, grads, probs, (out, q, k, v) = _record_attention(attention, case, arrays, g)
+    assert len(out._parents) == 3 and all(p is u for p, u in zip(out._parents, (q, k, v)))
+    want_y, want_grads, want_probs, _ = _record_attention(composed_attention, case, arrays, g)
+    assert_bitwise(y, want_y)
+    assert_bitwise(probs, want_probs)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert_bitwise(grad, want_grads[name])
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_without_graph_equals_recorded(case):
+    # one forward: no graph changes no bit of the output or the probabilities
+    arrays = _attention_inputs(case, np.float32)
+    t = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    kv = t.get("c", t["x"])
+    qkv = [linear(src, t[f"w{n}"], t[f"b{n}"]) for src, n in ((t["x"], "q"), (kv, "k"), (kv, "v"))]
+    sinks = [], []
+    recorded = attention(*qkv, 3, -2, 1.0 / math.sqrt(8), sinks[0])
+    with no_grad():
+        inferred = attention(*qkv, 3, -2, 1.0 / math.sqrt(8), sinks[1])
+    assert recorded.requires_grad and not inferred.requires_grad
+    assert_bitwise(inferred.data, recorded.data)
+    assert_bitwise(sinks[1][0], sinks[0][0])
+
+
+@pytest.mark.parametrize("seq_axis, shapes", [
+    (-2, ((2, 3, 4),) * 3),
+    (-3, ((3, 2, 4),) * 3),  # the frames axis of an (N, J, D) sequence
+    (-2, ((2, 3, 4), (5, 4), (5, 4))),  # cross-attention: k and v broadcast
+], ids=["spatial", "temporal", "cross"])
+def test_attention_grad(seq_axis, shapes):
+    check_op(lambda q, k, v: square_sum(attention(q, k, v, 2, seq_axis, 1.0 / math.sqrt(2))), *shapes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_probabilities_match_reference_softmax_bitwise(dtype):
+    # scores on both sides of the column-wise max's length limit; one head,
+    # so the head split is q's and k's own memory
+    rng = np.random.default_rng(11)
+    for n in (1, 16, 17, 32, 33, 77, 243):
+        q, k, v = ((3 * rng.standard_normal((s, 8))).astype(dtype) for s in (5, n, n))
+        sink = []
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 1, -2, 0.3, sink)
+        probs = softmax_reference((q[None] @ k.T[None]) * np.asarray(0.3, dtype))
+        assert_bitwise(sink[0], probs)
+        np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=1e-6)
+        assert_bitwise(out.data, (probs @ v[None])[0])
 
 
 def test_linear_grad():

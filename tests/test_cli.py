@@ -17,7 +17,7 @@ from posediff.data import load_dataset, save_dataset, synth_generate
 from posediff.denoiser import Denoiser
 from posediff.exceptions import ConfigError, NumericsError
 
-from test_autodiff import composed_layer_norm
+from test_autodiff import composed_attention, composed_layer_norm
 from test_denoiser import pin_cpus, record_pools, spy_forwards
 
 
@@ -1302,10 +1302,10 @@ class TestPipelineDeterminism:
         assert pred_a == pred_b
         assert rep_a == rep_b
 
-    def test_training_checkpoint_matches_composed_layer_norm(self, tmp_path, monkeypatch, tiny_data):
-        # layer_norm records one node whose backward repeats the arithmetic of
-        # its Tensor-op composition; a few tiny-preset steps with either must
-        # write the same checkpoint tensors, byte for byte
+    @staticmethod
+    def assert_checkpoint_matches_composition(tmp_path, monkeypatch, tiny_data, op, composition):
+        """A few tiny-preset steps with the denoiser's ``op`` and with
+        ``composition`` in its place write the same checkpoint tensors, byte for byte."""
         from posediff import denoiser
 
         def checkpoint(tag):
@@ -1314,8 +1314,19 @@ class TestPipelineDeterminism:
             return read_container(ckpt)[0]
 
         node = checkpoint("node")
-        monkeypatch.setattr(denoiser, "layer_norm", composed_layer_norm)
+        monkeypatch.setattr(denoiser, op, composition)
         composed = checkpoint("composed")
         assert node.keys() == composed.keys()
         for name, t in node.items():
             assert t.dtype == composed[name].dtype and t.tobytes() == composed[name].tobytes(), name
+
+    def test_training_checkpoint_matches_composed_layer_norm(self, tmp_path, monkeypatch, tiny_data):
+        # layer_norm records one node whose backward repeats the arithmetic of
+        # its Tensor-op composition
+        self.assert_checkpoint_matches_composition(
+            tmp_path, monkeypatch, tiny_data, "layer_norm", composed_layer_norm)
+
+    def test_training_checkpoint_matches_composed_attention(self, tmp_path, monkeypatch, tiny_data):
+        # so does the attention core's node, through every attention block
+        self.assert_checkpoint_matches_composition(
+            tmp_path, monkeypatch, tiny_data, "attention", composed_attention)

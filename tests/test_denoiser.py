@@ -217,7 +217,7 @@ class TestMhsaBlock:
 
     @pytest.mark.parametrize("axis", ["spatial", "temporal"])
     def test_no_grad_block_matches_recorded_block(self, axis):
-        # without a graph the block keeps token layout and folds 1/sqrt(6) into q
+        # without a graph the temporal block keeps token layout, attending over its frames axis
         model = Denoiser.create(tiny_config(n_frames=5, feature_dim=12, heads=2), seed=0)
         f = Tensor(np.random.default_rng(2).standard_normal((5, 3, 12)))
         sinks = [], []
@@ -675,7 +675,7 @@ class TestBufferArena:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_arena_output_equals_fresh_buffers(self, monkeypatch, dtype, threads, stacked):
-        from posediff import autodiff, denoiser
+        from posediff import autodiff
 
         pin_cpus(monkeypatch, threads)
         model, prompt = perturbed_tiny_preset(dtype)
@@ -685,8 +685,7 @@ class TestBufferArena:
         with hypothesis_pool(4) as pool:
             got = model.denoise_array(yt, x, 70, prompt, pool=pool)
         with monkeypatch.context() as m:
-            for module in (autodiff, denoiser):
-                m.setattr(module, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
+            m.setattr(autodiff, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
             want = model.denoise_array(yt, x, 70, prompt)
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
@@ -730,7 +729,7 @@ class TestBufferArena:
             np.testing.assert_array_equal(got, want)
 
     def test_repeated_forward_allocates_no_new_buffer(self, monkeypatch):
-        from posediff import autodiff, denoiser
+        from posediff import autodiff
 
         model, prompt = perturbed_tiny_preset(np.float32)
         rng = np.random.default_rng(8)
@@ -745,8 +744,7 @@ class TestBufferArena:
             return empty(*args, **kw)
 
         with monkeypatch.context() as m:
-            for module in (autodiff, denoiser):
-                m.setattr(module, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
+            m.setattr(autodiff, "_buffer", lambda shape, dtype: np.empty(shape, dtype))
             want = model.denoise_array(yt, x, 70, prompt)
         monkeypatch.setattr(np, "empty", counted)
         with no_grad():

@@ -136,6 +136,13 @@ class TestAssemble:
         emb3 = scaled.assemble("motion")
         np.testing.assert_allclose(emb3.pooled.data, 3.0 * emb.pooled.data, atol=1e-12)
 
+    def test_pooled_records_no_node(self):
+        # the selector weights only frozen rows, so a matmul node would send
+        # every modifier row exact zeros
+        emb = self.make_bank().assemble("sit")
+        assert emb.tokens.requires_grad
+        assert not emb.pooled.requires_grad and emb.pooled._parents == ()
+
     def test_gradient_reaches_modifiers_not_frozen(self):
         bank = self.make_bank()
         before = [b.copy() for b in bank.frozen_blocks()]
