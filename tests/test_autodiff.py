@@ -244,7 +244,8 @@ def test_layer_norm_node_rounds_like_the_composition(dtype, shape, axes):
 
 
 def composed_attention(q, k, v, heads, seq_axis, scale, sink=None):
-    """Attention composed from ``Tensor`` ops and ``softmax``; ``attention``'s node must round exactly like it."""
+    """Attention composed from ``Tensor`` ops and ``softmax``; ``attention``'s
+    node must round exactly like it."""
 
     def split(t):  # (..., D) -> (other token axes..., heads, S, D / heads)
         seq = seq_axis % t.ndim
