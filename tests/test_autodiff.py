@@ -148,22 +148,31 @@ def softmax_reference(a):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# row lengths on both sides of ``_row_max``'s column-wise limit
+ROW_LENGTHS = (1, 16, 17, 32, 33, 77, 243)
+
+
+def special_rows(rng, dtype, n):
+    """(6, 4, n) rows: finite, then holding NaN, +inf (in the last column),
+    -inf, all -inf, and +0 mixed with -0 (the rest negative)."""
+    rows = (3 * rng.standard_normal((6, 4, n))).astype(dtype)
+    rows[1, :, n // 2] = np.nan
+    rows[2, :, -1] = np.inf
+    rows[3, :, :: 2] = -np.inf
+    rows[4] = -np.inf
+    zeros = rng.choice(np.array([0.0, -0.0], dtype), (4, n))
+    rows[5] = np.where(rng.random((4, n)) < 0.5, zeros, -np.abs(rows[5]))
+    return rows
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_and_gelu_match_reference_formulas_bitwise(dtype):
     # the ops work in place on their temporaries; results must not move
     rng = np.random.default_rng(4)
     a = (3 * rng.standard_normal((2, 5, 7))).astype(dtype)
     assert_bitwise(softmax(Tensor(a)).data, softmax_reference(a))
-    # rows on both sides of the column-wise max's length limit, and rows
-    # holding NaN, +inf (in the last column), -inf, and +0 mixed with -0
-    for n in (1, 16, 17, 32, 33, 77, 243):
-        rows = (3 * rng.standard_normal((6, 4, n))).astype(dtype)
-        rows[1, :, n // 2] = np.nan
-        rows[2, :, -1] = np.inf
-        rows[3, :, :: 2] = -np.inf
-        rows[4] = -np.inf
-        zeros = rng.choice(np.array([0.0, -0.0], dtype), (4, n))
-        rows[5] = np.where(rng.random((4, n)) < 0.5, zeros, -np.abs(rows[5]))
+    for n in ROW_LENGTHS:
+        rows = special_rows(rng, dtype, n)
         with np.errstate(invalid="ignore"):
             assert_bitwise(_row_max(rows)[:5], rows[:5].max(axis=-1, keepdims=True))
             # numpy's reduce picks a zero max's sign by SIMD lane: equal in value
@@ -343,10 +352,9 @@ def test_attention_grad(seq_axis, shapes):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_probabilities_match_reference_softmax_bitwise(dtype):
-    # scores on both sides of the column-wise max's length limit; one head,
-    # so the head split is q's and k's own memory
+    # one head, so the head split is q's and k's own memory
     rng = np.random.default_rng(11)
-    for n in (1, 16, 17, 32, 33, 77, 243):
+    for n in ROW_LENGTHS:
         q, k, v = ((3 * rng.standard_normal((s, 8))).astype(dtype) for s in (5, n, n))
         sink = []
         out = attention(Tensor(q), Tensor(k), Tensor(v), 1, -2, 0.3, sink)
@@ -354,6 +362,14 @@ def test_attention_probabilities_match_reference_softmax_bitwise(dtype):
         assert_bitwise(sink[0], probs)
         np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=1e-6)
         assert_bitwise(out.data, (probs @ v[None])[0])
+        # scores set exactly, special values included: one query per row with
+        # q = 1, head_dim 1 and scale 1, so each row's scores are its k
+        rows = special_rows(rng, dtype, n)
+        k = rows[..., None]
+        sink = []
+        with np.errstate(invalid="ignore"):
+            attention(Tensor(np.ones((6, 4, 1, 1), dtype)), Tensor(k), Tensor(k), 1, -2, 1.0, sink)
+            assert_bitwise(sink[0][..., 0, 0, :], softmax_reference(rows))
 
 
 def test_linear_grad():
