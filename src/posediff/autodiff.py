@@ -11,12 +11,13 @@ operand of ``+``, ``-`` or ``*`` records no parent and takes no gradient work.
 checked against finite differences by acceptance 4; the last two repeat the
 arithmetic of their former ``Tensor``-op compositions, so training rounds as
 those did. The attention's softmax takes a short row's max column by column
-(``_row_max``). Without a graph, ``linear`` runs one 2-D GEMM per sequence
-over its flattened frame and joint axes, ``layer_norm``, ``gelu`` and
-``attention`` work in place, and under ``no_grad`` all four write into dead
-buffers from the thread's arena (``_buffer``), kept until the thread's
-outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool`` worker never
-leaves its block). Every gradient in the package reduces to the rules below.
+(``_row_max``). ``attention`` and ``gelu`` run one forward in both modes.
+Without a graph, ``linear`` runs one 2-D GEMM per sequence over its flattened
+frame and joint axes and ``layer_norm`` works in place. Under ``no_grad`` all
+four write into dead buffers from the thread's arena (``_buffer``), kept until
+the thread's outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool``
+worker never leaves its block). Every gradient in the package reduces to the
+rules below.
 Anything outside the set raises NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
@@ -311,28 +312,24 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return top
 
 
-def _head_split(a: np.ndarray, heads: int, seq_axis: int):
-    """(..., D) as an (other token axes..., heads, S, D / heads) view, and its axis order."""
-    seq = seq_axis % a.ndim
-    a = a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads)
-    axes = tuple(i for i in range(a.ndim - 2) if i != seq) + (a.ndim - 2, seq, a.ndim - 1)
-    return a.transpose(axes), axes
+def _head_split(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., S, D) as an (..., heads, S, D / heads) view."""
+    return a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads).swapaxes(-3, -2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, seq_axis: int, scale: float, sink=None):
-    """Multi-head ``softmax(q kᵀ * scale) v`` over token-layout ``(..., D)`` tensors.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float, sink=None):
+    """Multi-head ``softmax(q kᵀ * scale) v`` over the second-to-last axis of ``(..., S, D)``.
 
-    Heads split the last axis as views, the sequence on ``seq_axis``; k's and
-    v's leading axes broadcast against q's. The scores fill one ``_buffer``,
-    then scale and softmax in place (``_row_max``); the output fills a
-    ``_buffer`` of q's token shape through its head split, and ``sink``, if
-    given, receives the probabilities. While recording: one node, parents
-    ``(q, k, v)``, keeping the probabilities; its backward runs the ufuncs of
-    the ``Tensor``-op composition (split, ``q @ kᵀ``, ``* scale``, softmax,
-    ``@ v``, merge) in order, so training rounds as that composition did.
+    Heads split the last axis as views; k's and v's leading axes broadcast
+    against q's. The scores fill one ``_buffer``, then scale and softmax in
+    place (``_row_max``); the output fills a ``_buffer`` of q's shape through
+    its head split, and ``sink``, if given, receives the ``(..., heads, S, S)``
+    probabilities. While recording: one node, parents ``(q, k, v)``, keeping
+    the probabilities; its backward runs the ufuncs of the ``Tensor``-op
+    composition (split, ``q @ kᵀ``, ``* scale``, softmax, ``@ v``, merge) in
+    order, so training rounds as that composition did.
     """
-    splits = [_head_split(t.data, heads, seq_axis) for t in (q, k, v)]
-    (q4, _), (k4, _), (v4, _) = splits
+    q4, k4, v4 = (_head_split(t.data, heads) for t in (q, k, v))
     kt = np.swapaxes(k4, -1, -2)
     shape = np.broadcast_shapes(q4.shape[:-2], kt.shape[:-2]) + (q4.shape[-2], kt.shape[-1])
     a = np.matmul(q4, kt, out=_buffer(shape, np.result_type(q4, kt)))
@@ -342,19 +339,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, seq_axis: int, scale:
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     out = _buffer(q.shape[:-1] + v.shape[-1:], np.result_type(a, v4))
-    np.matmul(a, v4, out=_head_split(out, heads, seq_axis)[0])
+    np.matmul(a, v4, out=_head_split(out, heads))
     if sink is not None:
         sink.append(a)
 
     def backward(g):
-        go = _head_split(g, heads, seq_axis)[0]
+        go = _head_split(g, heads)
         ga = _unbroadcast(go @ np.swapaxes(v4, -1, -2), a.shape)
         gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, v4.shape)
         gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * factor
         gq = _unbroadcast(gs @ np.swapaxes(kt, -1, -2), q4.shape)
         gk = np.swapaxes(_unbroadcast(np.swapaxes(q4, -1, -2) @ gs, kt.shape), -1, -2)
-        return tuple(g4.transpose(np.argsort(axes)).reshape(t.shape)
-                     for g4, (_, axes), t in zip((gq, gk, gv), splits, (q, k, v)))
+        return tuple(g4.swapaxes(-3, -2).reshape(t.shape) for g4, t in zip((gq, gk, gv), (q, k, v)))
 
     return Tensor._make(out, (q, k, v), backward)
 
@@ -365,16 +361,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error GELU: x * Phi(x); without a graph, in one ``_buffer``."""
+    """Exact Gaussian-error GELU: x * Phi(x), Phi and the product each in a ``_buffer``."""
     x = _as_tensor(x)
     cdf = np.multiply(x.data, _INV_SQRT2, out=_buffer(x.shape, x.data.dtype))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if not _recording(x):
-        cdf *= x.data
-        return Tensor(cdf)
-    out = x.data * cdf
+    out = np.multiply(x.data, cdf, out=_buffer(x.shape, x.data.dtype))
 
     def backward(g):
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI

@@ -283,7 +283,7 @@ def _read_predictions(pred_path):
 def _judged_poses(pred_path, pred_tensors, rec):
     """``rec``'s predicted poses from ``pred_path``, which must have the shape of
     its ground truth, and the frame mask they are scored over: the frames its
-    character is in."""
+    character is in. Neither array may hold a frame whose squares overflow float64."""
     if rec.gt_3d is None:
         raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
     pred = pred_tensors.get(f"pred/{rec.seq_id}/poses")
@@ -292,11 +292,13 @@ def _judged_poses(pred_path, pred_tensors, rec):
     if pred.shape != rec.gt_3d.shape:
         raise ConfigError(f"{pred_path}: record {rec.seq_id!r} has {rec.gt_3d.shape} "
                           f"ground truth but {pred.shape} poses")
-    with np.errstate(over="ignore"):
-        huge = np.flatnonzero(~np.isfinite(np.square(pred, dtype=np.float64).sum(axis=(1, 2))))
-    if huge.size:
-        raise ConfigError(f"{pred_path}: record {rec.seq_id!r} frame {huge[0]}: coordinates "
-                          "too large to score (their squares overflow float64)")
+    for where, poses in ((f"{pred_path}: record {rec.seq_id!r}", pred),
+                         (f"record {rec.seq_id!r} ground truth", rec.gt_3d)):
+        with np.errstate(over="ignore"):
+            huge = np.flatnonzero(~np.isfinite(np.square(poses, dtype=np.float64).sum(axis=(1, 2))))
+        if huge.size:
+            raise ConfigError(f"{where} frame {huge[0]}: coordinates too large to score "
+                              "(their squares overflow float64)")
     if rec.presence is None:
         return pred, np.ones(rec.n_frames, bool)
     if not rec.presence.any():

@@ -176,11 +176,9 @@ def init_denoiser_weights(config: DenoiserConfig, seed: int, dtype=np.float64) -
 
 
 def _residual(x: Tensor, y: Tensor) -> Tensor:
-    """x + y; without a graph, added into y, a fresh projection output."""
-    if _grad_enabled():
-        return x + y
+    """x + y, added into y, a fresh projection output; one node, gradient ``(g, g)``."""
     y.data += x.data
-    return y
+    return Tensor._make(y.data, (x, y), lambda g: (g, g))
 
 
 def sinusoid_embedding(t: float, dim: int) -> np.ndarray:
@@ -254,8 +252,8 @@ class Denoiser:
 
     # -- attention blocks ----------------------------------------------------
 
-    def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None, seq_axis=-2):
-        """Pre-norm residual multi-head attention over x's ``seq_axis``, in x's token layout.
+    def _attention(self, x: Tensor, prefix: str, context=None, attn_sink=None):
+        """Pre-norm residual multi-head attention over x's second-to-last axis.
 
         Queries come from the layer-normed x; keys and values from the same
         normed x (self-attention) or from the ``context`` rows (cross-attention).
@@ -267,7 +265,7 @@ class Denoiser:
         k = linear(kv, w(f"{prefix}/wk"), w(f"{prefix}/bk"))
         v = linear(kv, w(f"{prefix}/wv"), w(f"{prefix}/bv"))
         cfg = self.config
-        out = attention(q, k, v, cfg.heads, seq_axis, 1.0 / math.sqrt(cfg.head_dim), attn_sink)
+        out = attention(q, k, v, cfg.heads, 1.0 / math.sqrt(cfg.head_dim), attn_sink)
         return _residual(x, linear(out, w(f"{prefix}/wo"), w(f"{prefix}/bo")))
 
     def _mlp(self, x: Tensor, prefix: str) -> Tensor:
@@ -279,17 +277,15 @@ class Denoiser:
     def mhsa_block(self, f: Tensor, axis: str, block: str, attn_sink=None) -> Tensor:
         """One transformer block; ``axis`` picks joint-wise or frame-wise attention.
 
-        The sequence axes count from the end (joints -2, frames -3), so any
-        leading hypothesis axis is a batch axis.
+        Attention runs over the second-to-last axis: joints, or frames in a temporal
+        block's joint-major (..., J, N, D) view. A leading hypothesis axis is a batch.
         """
-        seq_axis = {"spatial": -2, "temporal": -3}[axis]
-        if axis == "temporal" and _grad_enabled():
-            # a recorded graph keeps the frame-major operand layout: the
-            # stacked-GEMM gradient sums, and so training's rounding, depend on it
-            f = self._attention(f.permute(1, 0, 2), f"{block}/attn", attn_sink=attn_sink)
-            f = f.permute(1, 0, 2)
+        if axis == "temporal":
+            swap = (*range(f.ndim - 3), f.ndim - 2, f.ndim - 3, f.ndim - 1)
+            f = self._attention(f.permute(*swap), f"{block}/attn", attn_sink=attn_sink)
+            f = f.permute(*swap)
         else:
-            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink, seq_axis=seq_axis)
+            f = self._attention(f, f"{block}/attn", attn_sink=attn_sink)
         return self._mlp(f, f"{block}/mlp")
 
     def prompt_cross_attention(self, f: Tensor, prompt: PromptEmbedding, attn_sink=None) -> Tensor:

@@ -260,7 +260,8 @@ def restore_modifiers(bank, tensors: dict) -> None:
 def restore_trainer(trainer: Trainer, tensors: dict, meta: dict, n_samples: int) -> None:
     """Install a checkpoint's training position and optimizer moments into a
     trainer built from its weights and modifiers, which goes on to train on
-    ``n_samples`` samples (bit-exact resume)."""
+    ``n_samples`` samples (bit-exact resume). A second moment (``opt/v``) must not
+    be negative."""
     batches = -(-n_samples // trainer.cfg.batch_size)  # per epoch
     for key, end in (("opt_step", None), ("epoch", None), ("epoch_step", batches)):
         v = meta.get(key)
@@ -273,6 +274,8 @@ def restore_trainer(trainer: Trainer, tensors: dict, meta: dict, n_samples: int)
             moments[name] = _checkpoint_tensor(
                 tensors, key, moments[name].shape, moments[name].dtype
             )
+        if (opt.v[name] < 0).any():
+            raise ConfigError(f"checkpoint tensor 'opt/v/{name}' holds a negative second moment")
     opt.step_count = meta["opt_step"]
     trainer.epoch = meta["epoch"]
     trainer.epoch_step = meta["epoch_step"]

@@ -179,7 +179,7 @@ def test_softmax_and_gelu_match_reference_formulas_bitwise(dtype):
             np.testing.assert_array_equal(_row_max(rows[5]), rows[5].max(axis=-1, keepdims=True))
             assert_bitwise(softmax(Tensor(rows)).data, softmax_reference(rows))
     cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
-    for recording in (False, True):  # gelu has a branch for each
+    for recording in (False, True):  # one forward, with or without a node
         out = gelu(Tensor(a, requires_grad=recording))
         assert out.requires_grad == recording and out.data.dtype == dtype
         np.testing.assert_array_equal(out.data, a * cdf)
@@ -252,22 +252,22 @@ def test_layer_norm_node_rounds_like_the_composition(dtype, shape, axes):
         assert_bitwise(got, want)
 
 
-def composed_attention(q, k, v, heads, seq_axis, scale, sink=None):
-    """Attention composed from ``Tensor`` ops and ``softmax``; ``attention``'s
-    node must round exactly like it."""
+def composed_attention(q, k, v, heads, scale, sink=None):
+    """Attention over the second-to-last axis, composed from ``Tensor`` ops and
+    ``softmax``; ``attention``'s node must round exactly like it."""
 
-    def split(t):  # (..., D) -> (other token axes..., heads, S, D / heads)
-        seq = seq_axis % t.ndim
+    def split(t):  # (..., S, D) -> (..., heads, S, D / heads)
         t = t.reshape(*t.shape[:-1], heads, t.shape[-1] // heads)
-        axes = (*(i for i in range(t.ndim - 2) if i != seq), t.ndim - 2, seq, t.ndim - 1)
-        return t.permute(*axes), axes
+        *lead, seq, head, width = range(t.ndim)
+        return t.permute(*lead, head, seq, width)
 
-    (q4, axes), (k4, _), (v4, _) = split(q), split(k), split(v)
+    q4, k4, v4 = split(q), split(k), split(v)
     *lead, rows, cols = range(k4.ndim)
     attn = softmax(q4 @ k4.permute(*lead, cols, rows) * scale)
     if sink is not None:
         sink.append(attn.data)
-    return (attn @ v4).permute(*np.argsort(axes)).reshape(*q.shape)
+    *lead, head, seq, width = range(q4.ndim)
+    return (attn @ v4).permute(*lead, seq, head, width).reshape(*q.shape)
 
 
 # (x shape, context shape or None, permute x's first two axes as the temporal blocks do)
@@ -301,7 +301,7 @@ def _record_attention(attend, case, arrays, g):
     kv = t["c"] if "c" in t else h
     q, k, v = (linear(src, t[f"w{n}"], t[f"b{n}"]) for src, n in ((h, "q"), (kv, "k"), (kv, "v")))
     sink = []
-    out = attend(q, k, v, 3, -2, 1.0 / math.sqrt(8), sink)  # head_dim 8: an inexact scale
+    out = attend(q, k, v, 3, 1.0 / math.sqrt(8), sink)  # head_dim 8: an inexact scale
     y = h + out
     y = y.permute(1, 0, 2) if permuted else y
     y.backward(g)
@@ -333,21 +333,26 @@ def test_attention_without_graph_equals_recorded(case):
     kv = t.get("c", t["x"])
     qkv = [linear(src, t[f"w{n}"], t[f"b{n}"]) for src, n in ((t["x"], "q"), (kv, "k"), (kv, "v"))]
     sinks = [], []
-    recorded = attention(*qkv, 3, -2, 1.0 / math.sqrt(8), sinks[0])
+    recorded = attention(*qkv, 3, 1.0 / math.sqrt(8), sinks[0])
     with no_grad():
-        inferred = attention(*qkv, 3, -2, 1.0 / math.sqrt(8), sinks[1])
+        inferred = attention(*qkv, 3, 1.0 / math.sqrt(8), sinks[1])
     assert recorded.requires_grad and not inferred.requires_grad
     assert_bitwise(inferred.data, recorded.data)
     assert_bitwise(sinks[1][0], sinks[0][0])
 
 
-@pytest.mark.parametrize("seq_axis, shapes", [
-    (-2, ((2, 3, 4),) * 3),
-    (-3, ((3, 2, 4),) * 3),  # the frames axis of an (N, J, D) sequence
-    (-2, ((2, 3, 4), (5, 4), (5, 4))),  # cross-attention: k and v broadcast
+@pytest.mark.parametrize("permuted, shapes", [
+    (False, ((2, 3, 4),) * 3),
+    (True, ((3, 2, 4),) * 3),  # (J, N, D) views, as the temporal blocks pass them
+    (False, ((2, 3, 4), (5, 4), (5, 4))),  # cross-attention: k and v broadcast
 ], ids=["spatial", "temporal", "cross"])
-def test_attention_grad(seq_axis, shapes):
-    check_op(lambda q, k, v: square_sum(attention(q, k, v, 2, seq_axis, 1.0 / math.sqrt(2))), *shapes)
+def test_attention_grad(permuted, shapes):
+    def loss(q, k, v):
+        if permuted:
+            q, k, v = (t.permute(1, 0, 2) for t in (q, k, v))
+        return square_sum(attention(q, k, v, 2, 1.0 / math.sqrt(2)))
+
+    check_op(loss, *shapes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -357,7 +362,7 @@ def test_attention_probabilities_match_reference_softmax_bitwise(dtype):
     for n in ROW_LENGTHS:
         q, k, v = ((3 * rng.standard_normal((s, 8))).astype(dtype) for s in (5, n, n))
         sink = []
-        out = attention(Tensor(q), Tensor(k), Tensor(v), 1, -2, 0.3, sink)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 1, 0.3, sink)
         probs = softmax_reference((q[None] @ k.T[None]) * np.asarray(0.3, dtype))
         assert_bitwise(sink[0], probs)
         np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, rtol=1e-6)
@@ -368,7 +373,7 @@ def test_attention_probabilities_match_reference_softmax_bitwise(dtype):
         k = rows[..., None]
         sink = []
         with np.errstate(invalid="ignore"):
-            attention(Tensor(np.ones((6, 4, 1, 1), dtype)), Tensor(k), Tensor(k), 1, -2, 1.0, sink)
+            attention(Tensor(np.ones((6, 4, 1, 1), dtype)), Tensor(k), Tensor(k), 1, 1.0, sink)
             assert_bitwise(sink[0][..., 0, 0, :], softmax_reference(rows))
 
 

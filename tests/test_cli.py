@@ -66,6 +66,7 @@ MALFORMED_CHECKPOINT = [
     ("prompt/0/modifier", "drop", None, "'prompt/0/modifier'", ("estimate", "resume")),
     ("prompt/0/modifier", "shape", None, "'prompt/0/modifier'", ("estimate", "resume")),
     ("opt/m/head/w", "drop", None, "'opt/m/head/w'", ("resume",)),
+    ("opt/v/head/w", "negative", None, "'opt/v/head/w' holds a negative", ("resume",)),
     ("epoch", "meta", -1, "'epoch'", ("resume",)),
     ("model.heads", "config", None, "'model.heads'", ("resume",)),  # off the schema
     ("train.lr0", "config", 1.0, "different config", ("resume",)),  # another hash
@@ -1081,6 +1082,9 @@ class TestMalformedFiles:
             del tensors[key]
         elif how == "shape":
             tensors[key] = tensors[key][:-1]
+        elif how == "negative":
+            tensors[key] = tensors[key].copy()
+            tensors[key].flat[0] = -1e-12
         elif how == "meta":
             meta[key] = value
         else:
@@ -1133,6 +1137,23 @@ class TestMalformedFiles:
                      "--out", str(out)] + args) == 1
         err = capsys.readouterr().err
         assert f"{pred}" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_huge_ground_truth_exits_one(self, workspace, tmp_path, capsys, command):
+        """Ground truth is judged by the predictions' overflow rule."""
+        records = load_dataset(workspace["data"])
+        rec = next(r for r in records if r.seq_id == "seq001")
+        rec.gt_3d = rec.gt_3d.copy()
+        rec.gt_3d[2, 4, 0] = 1e300
+        data, out = tmp_path / "data.ptc", tmp_path / "out"
+        save_dataset(data, records)
+        args = ["--sequence", "seq001"] if command == "plot" else []
+        capsys.readouterr()
+        assert main([command, "--predictions", str(workspace["pred"]), "--data", str(data),
+                     "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert "record 'seq001' ground truth frame 2: coordinates too large" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "estimate", "eval", "plot"])

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import os
@@ -7,10 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from posediff.autodiff import Tensor, no_grad
+from posediff.autodiff import Tensor, linear, no_grad
 from posediff.denoiser import (
     Denoiser,
     DenoiserConfig,
+    _residual,
     hypothesis_pool,
     init_denoiser_weights,
     sinusoid_embedding,
@@ -217,7 +219,7 @@ class TestMhsaBlock:
 
     @pytest.mark.parametrize("axis", ["spatial", "temporal"])
     def test_no_grad_block_matches_recorded_block(self, axis):
-        # without a graph the temporal block keeps token layout, attending over its frames axis
+        # both modes attend over the same layout: a temporal block's joint-major (J, N, D) view
         model = Denoiser.create(tiny_config(n_frames=5, feature_dim=12, heads=2), seed=0)
         f = Tensor(np.random.default_rng(2).standard_normal((5, 3, 12)))
         sinks = [], []
@@ -228,6 +230,22 @@ class TestMhsaBlock:
         np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-14)
         assert sinks[1][0].shape == sinks[0][0].shape
         np.testing.assert_allclose(sinks[1][0], sinks[0][0], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_residual_is_one_node_in_the_projection_buffer(self, recording):
+        rng = np.random.default_rng(3)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 4), (4, 4), 4))
+        with contextlib.nullcontext() if recording else no_grad():
+            y = linear(x, w, b)
+            want = x.data + y.data
+            out = _residual(x, y)
+        assert np.shares_memory(out.data, y.data)
+        np.testing.assert_array_equal(out.data, want)
+        assert out.requires_grad == recording
+        if recording:
+            assert len(out._parents) == 2 and out._parents[0] is x and out._parents[1] is y
+            g = rng.standard_normal(want.shape)
+            assert all(pg is g for pg in out._backward(g))
 
     def test_shape_preserved(self, setup):
         _, model, _, prompt, yt, x = setup
