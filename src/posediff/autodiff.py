@@ -11,13 +11,13 @@ operand of ``+``, ``-`` or ``*`` records no parent and takes no gradient work.
 checked against finite differences by acceptance 4; the last two repeat the
 arithmetic of their former ``Tensor``-op compositions, so training rounds as
 those did. The attention's softmax takes a short row's max column by column
-(``_row_max``). ``attention`` and ``gelu`` run one forward in both modes.
-Without a graph, ``linear`` runs one 2-D GEMM per sequence over its flattened
-frame and joint axes and ``layer_norm`` works in place. Under ``no_grad`` all
-four write into dead buffers from the thread's arena (``_buffer``), kept until
-the thread's outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool``
-worker never leaves its block). Every gradient in the package reduces to the
-rules below.
+(``_row_max``). ``linear``, ``layer_norm``, ``attention`` and ``gelu`` each
+run one forward in both modes; recording decides only ``linear``'s GEMM rows
+(without a graph, a sequence's frames and joints flatten into one 2-D GEMM)
+and ``layer_norm``'s variance sums. Under ``no_grad`` all four write into
+dead buffers from the thread's arena (``_buffer``), kept until the thread's
+outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool`` worker never
+leaves its block). Every gradient in the package reduces to the rules below.
 Anything outside the set raises NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
@@ -379,36 +379,35 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply learnable scale and offset.
 
-    Without a graph: centre into one ``_buffer``, then normalize, scale and offset it.
-    While recording: one node, parents ``(x, x, scale, offset)``, running the
-    ufuncs of the ``Tensor``-op composition ``xc = x - x.mean(-1)``, ``xc *
-    ((xc * xc).mean(-1) + eps) ** -0.5 * scale + offset`` in order at x's dtype,
-    both ways; x takes the subtract path's gradient, then the mean path's.
+    One forward in both modes: the ufuncs of the ``Tensor``-op composition ``xc =
+    x - x.mean(-1)``, ``xc * ((xc * xc).mean(-1) + eps) ** -0.5 * scale + offset``
+    in order at x's dtype, centring into one ``_buffer`` and scaling it in place;
+    only the variance's row sums are an ``einsum`` when nothing is recorded. The
+    node, parents ``(x, x, scale, offset)``, keeps row statistics: its backward
+    recomputes ``xc`` and ``xc * r`` from x, which must not change until then;
+    x takes the subtract path's gradient, then the mean path's.
     """
     x, scale, offset = _as_tensor(x), _as_tensor(scale), _as_tensor(offset)
-    if not _recording(x, scale, offset):
-        inv_n = 1.0 / x.shape[-1]
-        mean = x.data.sum(axis=-1, keepdims=True) * inv_n
-        out = np.subtract(x.data, mean, out=_buffer(x.shape, x.data.dtype))
-        out *= (np.einsum("...i,...i->...", out, out)[..., None] * inv_n + eps) ** -0.5
-        out *= scale.data
-        out += offset.data
-        return Tensor(out)
     inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)  # Tensor.mean's constant
     s1 = x.data.sum(axis=-1, keepdims=True)
     mu = s1 * inv_n
-    xc = x.data - mu
-    s2 = (xc * xc).sum(axis=-1, keepdims=True)
+    out = np.subtract(x.data, mu, out=_buffer(x.shape, x.data.dtype))
+    s2 = ((out * out).sum(axis=-1, keepdims=True) if _recording(x, scale, offset)
+          else np.einsum("...i,...i->...", out, out)[..., None])
     var = s2 * inv_n
     ve = var + np.asarray(eps, x.data.dtype)
     r = ve**-0.5
-    y1 = xc * r
+    out *= r
+    out *= scale.data
+    out += offset.data
 
     # The row statistics live as long as the graph, as the composed nodes kept
     # them: with MALLOC_MMAP_THRESHOLD_ set, glibc trims the heap a step frees
     # and the next step re-faults it; these small blocks pin it (a tiny step:
     # 160-1,200 page faults with them, 1,400-4,400 and up to 20,000 without).
     def backward(g, rows=(s1, mu, s2, var)):
+        xc = x.data - mu
+        y1 = xc * r
         gy1 = _unbroadcast(g * scale.data, y1.shape)
         gxc = _unbroadcast(gy1 * r, xc.shape)
         gve = _unbroadcast(gy1 * xc, r.shape) * -0.5 * ve**-1.5
@@ -418,36 +417,33 @@ def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> T
         gmean = np.broadcast_to(_unbroadcast(-gxc, r.shape) * inv_n, x.shape)
         return gxc, gmean, _unbroadcast(g * y1, scale.shape), _unbroadcast(g, offset.shape)
 
-    return Tensor._make(y1 * scale.data + offset.data, (x, x, scale, offset), backward)
+    return Tensor._make(out, (x, x, scale, offset), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias over the last axis of x, as one graph node.
 
-    With no graph to record (inference), the last two leading axes of x (a
-    sequence's frames and joints) are flattened into rows: a (N, J, D) input
-    costs one (N*J, D) @ (D, O) GEMM, so the weight is packed once rather
-    than N times, into one ``_buffer``. Axes before them are a batch: an
-    (H, N, J, D) stack costs H of those GEMMs, each rounding as it does alone
-    (one GEMM over all H*N*J rows may take another BLAS kernel, which rounds
-    differently).
+    One GEMM into a ``_buffer``, then the bias added in place; only its rows
+    depend on the mode. With no graph to record (inference), the last two
+    leading axes of x (a sequence's frames and joints) are flattened into rows:
+    a (N, J, D) input costs one (N*J, D) @ (D, O) GEMM, so the weight is packed
+    once rather than N times. Axes before them are a batch: an (H, N, J, D)
+    stack costs H of those GEMMs, each rounding as it does alone (one GEMM over
+    all H*N*J rows may take another BLAS kernel, which rounds differently).
 
-    While recording, forward and backward keep per-leading-index products
-    (and sum an (N, D, O) weight-gradient stack), so training rounds exactly
-    as ``x @ weight + bias`` does: acceptance 11's 400-step ranking of the
-    full model against w/o-Prompt is decided by that rounding (ROADMAP item 1).
+    While recording, the rows are x itself: forward and backward keep
+    per-leading-index products (and sum an (N, D, O) weight-gradient stack),
+    so training rounds exactly as ``x @ weight + bias`` does: acceptance 11's
+    400-step ranking of the full model against w/o-Prompt is decided by that
+    rounding (ROADMAP item 1).
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if weight.ndim != 2:
         raise NotImplementedError("linear weight must be 2-D")
-    if not _recording(x, weight, bias):
-        rows = x.data.reshape(*x.shape[:-3], -1, x.shape[-1])
-        out = np.matmul(rows, weight.data, out=_buffer(
-            rows.shape[:-1] + weight.shape[-1:], np.result_type(rows, weight.data)))
-        out += bias.data
-        return Tensor(out.reshape(*x.shape[:-1], -1))
-
-    out = x.data @ weight.data
+    rows = x.data if _recording(x, weight, bias) else x.data.reshape(
+        *x.shape[:-3], -1, x.shape[-1])
+    out = np.matmul(rows, weight.data, out=_buffer(
+        rows.shape[:-1] + weight.shape[-1:], np.result_type(rows, weight.data)))
     out += bias.data
 
     def backward(g):
@@ -455,4 +451,4 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
         return gx, gw, _unbroadcast(g, bias.shape)
 
-    return Tensor._make(out, (x, weight, bias), backward)
+    return Tensor._make(out.reshape(*x.shape[:-1], -1), (x, weight, bias), backward)

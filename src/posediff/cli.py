@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .config import build_runtime, config_hash, load_config, validate_config
-from .container import read_container, write_container
+from .container import _is_int, read_container, write_container
 from .data import (
     denormalize_poses,
     load_dataset,
@@ -173,7 +173,11 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         return max_steps is not None and trainer.opt.step_count >= max_steps
 
     while trainer.epoch < target_epochs and not done():
-        trainer.train_epoch(samples, max_steps=max_steps)
+        try:
+            trainer.train_epoch(samples, max_steps=max_steps)
+        except NumericsError as e:  # the data or the resumed weights overflow
+            source = f"{data_path} from {last_path}" if resume else data_path
+            raise ConfigError(f"training on {source}: {e}; no checkpoint holds it") from None
         if trainer.epoch_step:  # stopped inside the epoch
             save("ckpt_last.ptc")
         elif trainer.epoch % every == 0 or trainer.epoch == target_epochs or done():
@@ -277,13 +281,15 @@ def _read_predictions(pred_path):
     tensors, meta = read_container(pred_path)
     if meta.get("kind") != "predictions":
         raise ConfigError(f"{pred_path}: not a predictions container (kind={meta.get('kind')!r})")
-    return tensors
+    return tensors, meta
 
 
-def _judged_poses(pred_path, pred_tensors, rec):
+def _judged_poses(pred_path, pred_tensors, meta, rec):
     """``rec``'s predicted poses from ``pred_path``, which must have the shape of
     its ground truth, and the frame mask they are scored over: the frames its
-    character is in. Neither array may hold a frame whose squares overflow float64."""
+    character is in. Neither array may hold a frame whose squares overflow float64.
+    Its hypothesis index, if stored, holds whole numbers in ``[0, meta["hypotheses"])``,
+    one per joint, or per frame and joint under ``meta["per_frame_jpma"]``."""
     if rec.gt_3d is None:
         raise ConfigError(f"record {rec.seq_id!r} has no ground truth to evaluate")
     pred = pred_tensors.get(f"pred/{rec.seq_id}/poses")
@@ -299,6 +305,15 @@ def _judged_poses(pred_path, pred_tensors, rec):
         if huge.size:
             raise ConfigError(f"{where} frame {huge[0]}: coordinates too large to score "
                               "(their squares overflow float64)")
+    index = pred_tensors.get(f"pred/{rec.seq_id}/per_joint_hypothesis_index")
+    if index is not None:
+        hyps = meta.get("hypotheses")
+        shape = pred.shape[:2] if meta.get("per_frame_jpma") is True else pred.shape[1:2]
+        if not _is_int(hyps) or index.shape != shape or not (
+                (index == np.floor(index)) & (index >= 0) & (index < hyps)).all():
+            raise ConfigError(f"{pred_path}: record {rec.seq_id!r}: per_joint_hypothesis_index "
+                              f"must hold whole numbers in [0, {hyps!r}) in shape {shape}; "
+                              f"it has shape {index.shape}")
     if rec.presence is None:
         return pred, np.ones(rec.n_frames, bool)
     if not rec.presence.any():
@@ -336,13 +351,13 @@ def _pair_predictions(pred_path, pred_tensors, records):
 def run_eval(pred_path, data_path, out_dir, rigid_only=False):
     """Score predictions; ``rigid_only`` aligns P-MPJPE without scale."""
     _check_out_dir(out_dir)
-    pred_tensors = _read_predictions(pred_path)
+    pred_tensors, meta = _read_predictions(pred_path)
     records = load_dataset(data_path)
     _pair_predictions(pred_path, pred_tensors, records)
 
     pairs, per_joint = [], []
     for rec in sorted(records, key=lambda r: r.seq_id):
-        pred, mask = _judged_poses(pred_path, pred_tensors, rec)
+        pred, mask = _judged_poses(pred_path, pred_tensors, meta, rec)
         flat = np.flatnonzero(mask)[coincident_frames(pred[mask])]
         if flat.size:
             raise ConfigError(f"{pred_path}: record {rec.seq_id!r} frame {flat[0]}: all joints "
@@ -368,12 +383,12 @@ def run_eval(pred_path, data_path, out_dir, rigid_only=False):
 
 def run_plot(pred_path, data_path, seq_id, out_dir):
     _check_out_dir(out_dir)
-    pred_tensors = _read_predictions(pred_path)
+    pred_tensors, meta = _read_predictions(pred_path)
     records = {r.seq_id: r for r in load_dataset(data_path)}
     if seq_id not in records:
         raise ConfigError(f"unknown sequence id {seq_id!r}; dataset has {sorted(records)}")
     rec = records[seq_id]
-    pred, mask = _judged_poses(pred_path, pred_tensors, rec)
+    pred, mask = _judged_poses(pred_path, pred_tensors, meta, rec)
     try:
         pred_2d = reproject(pred, rec.camera or default_camera())
     except NumericsError as e:  # a depth at or behind the camera

@@ -221,12 +221,11 @@ class Denoiser:
         h = linear(Tensor(sin[None].astype(self.dtype)), self._w("time/fc1/w"), self._w("time/fc1/b"))
         return linear(gelu(h), self._w("time/fc2/w"), self._w("time/fc2/b"))
 
-    def embed_input(self, yt, x, t, prompt: PromptEmbedding | None, temb=None) -> Tensor:
+    def embed_input(self, yt, x, t, prompt: PromptEmbedding | None) -> Tensor:
         """Concat(3D, 2D) per joint token -> D, plus positional/prompt/time terms.
 
         ``yt`` is (N, J, 3) or, without a graph, an (h, N, J, 3) stack that
-        shares the (N, J, 2) keypoints ``x``. ``temb``, if given, is
-        ``timestamp_embed(t)`` computed by the caller.
+        shares the (N, J, 2) keypoints ``x``.
         """
         yt = np.asarray(yt)
         x = np.asarray(x)
@@ -248,7 +247,7 @@ class Denoiser:
             if prompt is None:
                 raise ConfigError("prompt conditioning enabled but no prompt given")
             z = z + prompt.pooled
-        return z + (self.timestamp_embed(t) if temb is None else temb)
+        return z + self.timestamp_embed(t)
 
     # -- attention blocks ----------------------------------------------------
 
@@ -303,10 +302,10 @@ class Denoiser:
         out = self._attention(f.reshape(*rows), "cross", prompt.tokens, attn_sink)
         return out.reshape(*f.shape)
 
-    def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t, temb=None) -> Tensor:
-        """Scale-and-offset features with a prompt+timestamp vector (``temb`` as above)."""
+    def pts_stylize(self, f: Tensor, prompt: PromptEmbedding | None, t) -> Tensor:
+        """Scale-and-offset features with a prompt+timestamp vector."""
         w = self._w
-        v = self.timestamp_embed(t) if temb is None else temb
+        v = self.timestamp_embed(t)
         if self.config.use_fpp and prompt is not None:
             v = prompt.pooled + v
         base = linear(v, w("pts/phi/w"), w("pts/phi/b"))
@@ -340,14 +339,11 @@ class Denoiser:
         The tasks go to ``pool`` only when more than one thread is left, so
         without a pool the stack runs on the calling thread; neither changes
         the result. Each task copies its predictions into its rows of the
-        output, so no arena buffer leaves its thread. Without a graph, the
-        timestamp code is computed once per call (a graph computes it per
-        use: sharing it would move training's rounding).
+        output, so no arena buffer leaves its thread.
         """
         yt = np.asarray(yt)
-        temb = None if _grad_enabled() else self.timestamp_embed(t)
         if yt.ndim != 4:
-            return self._forward(yt, x, t, prompt, temb)
+            return self._forward(yt, x, t, prompt)
         if _grad_enabled():
             raise ShapeError(
                 f"a hypothesis stack {yt.shape} is for inference only; denoise it under no_grad"
@@ -365,20 +361,20 @@ class Denoiser:
             threads, tasks = 1, ([yt], [out])
 
         def forward(task, rows):
-            rows[...] = self._forward(task, x, t, prompt, temb).data
+            rows[...] = self._forward(task, x, t, prompt).data
 
         list((pool.map if threads > 1 else map)(forward, *tasks))
         return Tensor(out)
 
-    def _forward(self, yt, x, t, prompt, temb) -> Tensor:
+    def _forward(self, yt, x, t, prompt) -> Tensor:
         cfg = self.config
-        f = self.embed_input(yt, x, t, prompt, temb)
+        f = self.embed_input(yt, x, t, prompt)
         for i in range(cfg.blocks_spatial):
             f = self.mhsa_block(f, "spatial", f"spatial{i}")
         if cfg.use_fpp and cfg.use_fpc:
             f = self.prompt_cross_attention(f, prompt)
         if cfg.use_pts:
-            f = self.pts_stylize(f, prompt, t, temb)
+            f = self.pts_stylize(f, prompt, t)
         f = f + self._w("input/pos_temporal").reshape(cfg.n_frames, 1, cfg.feature_dim)
         for i in range(cfg.blocks_temporal):
             f = self.mhsa_block(f, "temporal", f"temporal{i}")

@@ -140,7 +140,8 @@ class Trainer:
     def train_epoch(self, samples: list, max_steps: int | None = None) -> float:
         """The rest of the current epoch over the shuffled dataset; returns the
         mean step loss. At ``max_steps`` it stops inside the epoch, and the
-        next call resumes the epoch at ``epoch_step``.
+        next call resumes the epoch at ``epoch_step``. A step whose loss is not
+        finite raises NumericsError before its backward and update.
         """
         if not samples:
             raise ConfigError("training dataset is empty")
@@ -178,10 +179,12 @@ class Trainer:
                 err_sum += float(err.sum())
                 err_n += err.size
             loss = total * (1.0 / len(batch))
+            value = float(loss.data)
+            if not np.isfinite(value):  # an overflow's gradients can all be finite zeros
+                raise NumericsError(f"step {self.opt.step_count + 1}: training loss is {value}")
             loss.backward()
             self.opt.step(lr)
             wall = (time.perf_counter() - t0) * 1e3
-            value = float(loss.data)
             losses.append(value)
             self.logs.append(
                 StepLog(epoch, self.opt.step_count, value, err_sum / err_n, lr, wall)

@@ -101,6 +101,15 @@ MALFORMED_PREDICTIONS = [
     ("pred/seq001/poses", "coincident", "'seq001' frame 2: all joints coincide", ("eval",)),
     ("pred/seq001/poses", "huge", "'seq001' frame 2: coordinates too large", ("eval", "plot")),
     ("pred/ghost/poses", "orphan", "predictions without records ['ghost']", ("eval",)),
+    ("pred/seq001/per_joint_hypothesis_index", "plus_7.5", "'seq001': per_joint_hypothesis_index",
+     ("eval", "plot")),
+    ("pred/seq001/per_joint_hypothesis_index", "plus_2", "'seq001': per_joint_hypothesis_index",
+     ("eval", "plot")),
+    ("pred/seq001/per_joint_hypothesis_index", "minus_2", "'seq001': per_joint_hypothesis_index",
+     ("eval", "plot")),
+    ("pred/seq001/per_joint_hypothesis_index", "per_frame", "in shape (17,); it has shape (8, 17)",
+     ("eval", "plot")),
+    ("hypotheses", "drop", "[0, None)", ("eval", "plot")),
 ]
 PREDICTION_CASES = [(command, *row[:3]) for row in MALFORMED_PREDICTIONS for command in row[3]]
 
@@ -425,6 +434,25 @@ class TestTrainCommand:
                 "--data", str(data), "--out", str(tmp_path / "run")]
         assert main(args + ["--steps", "1"]) == 0
         return args, tmp_path / "run" / "ckpt_last.ptc"
+
+    # keypoints x 1e27 are finite in float32, but their squares overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_loss_exits_one_before_any_checkpoint(self, tmp_path, capsys):
+        """``mse_loss`` overflows to inf, and ``sqrt``'s backward then sends finite
+        zeros: the loss itself is judged before the step's backward and update."""
+        data, run = tmp_path / "d.ptc", tmp_path / "run"
+        records = synth_generate(4, 8, 17, seed=2)
+        for rec in records:
+            rec.keypoints_2d = rec.keypoints_2d * 1e27
+        save_dataset(data, records)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {"n_frames": 8}, "model": {"feature_dim": 32}}))
+        capsys.readouterr()
+        assert main(["train", "--preset", "tiny", "--config", str(config), "--data", str(data),
+                     "--out", str(run), "--epochs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: training on {data}: step 1: training loss is inf" in err
+        assert list(run.iterdir()) == []
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_resume_rejects_missing_optimizer_moment(self, tmp_path, capsys, moment):
@@ -1108,12 +1136,16 @@ class TestMalformedFiles:
     def test_predictions_error_names_file(self, workspace, tmp_path, capsys, command, key, how,
                                           named):
         tensors, meta = read_container(workspace["pred"])
-        if how == "drop" and key == "kind":
+        if how == "drop" and key in meta:
             del meta[key]
         elif how == "drop":
             del tensors[key]
         elif how == "orphan":
             tensors[key] = tensors["pred/seq000/poses"]
+        elif key.endswith("/per_joint_hypothesis_index"):  # H = 2 hypotheses, 17 joints
+            index = tensors[key]
+            tensors[key] = {"plus_7.5": index + 7.5, "plus_2": index + 2, "minus_2": index - 2,
+                            "per_frame": np.tile(index, (8, 1))}[how]
         else:
             poses = tensors[key]
             if how == "xy":

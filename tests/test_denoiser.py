@@ -653,17 +653,30 @@ class TestDenoise:
         with pytest.raises(ShapeError, match="inference only"):
             model.denoise(np.stack([yt, yt]), x, 40, prompt)
 
-    def test_timestamp_embedded_once_per_call_without_graph(self, setup, monkeypatch):
+    def test_timestamp_embedded_once_per_use(self, setup, monkeypatch):
+        # embed_input and pts_stylize each embed t, in both modes and in every
+        # task of a stack: the whole stack on one thread, or a share per thread
+        from posediff import denoiser
+
         _, model, _, prompt, yt, x = setup
+        stack = yt + np.arange(4)[:, None, None, None]
+        want = np.stack([model.denoise_array(y, x, 40, prompt) for y in stack])
         calls = []
         original = Denoiser.timestamp_embed
         monkeypatch.setattr(Denoiser, "timestamp_embed",
                             lambda self, t: calls.append(t) or original(self, t))
-        recorded = model.denoise(yt, x, 40, prompt).data
-        assert calls == [40, 40]  # embed_input and pts_stylize, each its own
-        stacked = model.denoise_array(np.stack([yt] * 3), x, 40, prompt)
-        assert calls == [40, 40, 40]
-        np.testing.assert_allclose(stacked, np.stack([recorded] * 3), rtol=1e-12, atol=1e-14)
+        model.denoise(yt, x, 40, prompt)
+        model.denoise_array(yt, x, 40, prompt)
+        assert calls == [40, 40] * 2
+        # tiny_config's forward is 48 elements: a share of 2 passes a gate of 96
+        monkeypatch.setattr(denoiser, "PARALLEL_MIN_ELEMENTS", 96)
+        for threads in (1, 2):
+            calls.clear()
+            pin_cpus(monkeypatch, threads)
+            with hypothesis_pool(len(stack)) as pool:
+                got = model.denoise_array(stack, x, 40, prompt, pool=pool)
+            assert calls == [40, 40] * threads
+            np.testing.assert_array_equal(got, want)
 
     def test_float32_weights_give_float32(self):
         cfg = tiny_config()
