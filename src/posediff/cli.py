@@ -32,7 +32,7 @@ from .data import (
     synth_generate_multi,
 )
 from .denoiser import hypothesis_pool
-from .exceptions import ConfigError, NumericsError, PoseDiffError
+from .exceptions import ConfigError, DegeneratePosesError, NumericsError, PoseDiffError
 from .metrics import REPORT_METRICS, coincident_frames, compute_report
 from .plotting import per_joint_error_rows, skeleton_svg
 from .prompts import prompt_for
@@ -173,8 +173,9 @@ def run_train(cfg, data_path, out_dir, resume=False, max_steps=None, epochs=None
         return max_steps is not None and trainer.opt.step_count >= max_steps
 
     while trainer.epoch < target_epochs and not done():
-        try:
-            trainer.train_epoch(samples, max_steps=max_steps)
+        try:  # the step judges its own loss, gradients and weights
+            with np.errstate(over="ignore", invalid="ignore"):
+                trainer.train_epoch(samples, max_steps=max_steps)
         except NumericsError as e:  # the data or the resumed weights overflow
             source = f"{data_path} from {last_path}" if resume else data_path
             raise ConfigError(f"training on {source}: {e}; no checkpoint holds it") from None
@@ -248,8 +249,15 @@ def run_estimate(
     M = iterations if iterations is not None else cfg["sample"]["iterations"]
     base_seed = seed if seed is not None else cfg["seed"]
     records = load_dataset(data_path)
-    with no_grad(), hypothesis_pool(H) as pool:  # arenas last the run
-        results = [_estimate_record(r, runtime, H, M, base_seed, per_frame, pool) for r in records]
+    results = []
+    # arenas last the run; the sampler judges every forward's poses itself
+    with no_grad(), hypothesis_pool(H) as pool, np.errstate(over="ignore", invalid="ignore"):
+        for rec in records:
+            try:
+                results.append(_estimate_record(rec, runtime, H, M, base_seed, per_frame, pool))
+            except DegeneratePosesError as e:  # from the data or the checkpoint's weights
+                raise ConfigError(f"estimating record {rec.seq_id!r} of {data_path} "
+                                  f"from {checkpoint_path}: {e}") from None
 
     tensors, cam_notes = {}, {}
     for rec, (poses, index) in zip(records, results):
@@ -391,7 +399,7 @@ def run_plot(pred_path, data_path, seq_id, out_dir):
     pred, mask = _judged_poses(pred_path, pred_tensors, meta, rec)
     try:
         pred_2d = reproject(pred, rec.camera or default_camera())
-    except NumericsError as e:  # a depth at or behind the camera
+    except DegeneratePosesError as e:  # a depth at or behind the camera
         raise ConfigError(f"{pred_path}: record {seq_id!r}: {e}") from None
     svg = skeleton_svg(pred_2d, rec.keypoints_2d, title=f"{seq_id} ({rec.action})")
     os.makedirs(out_dir, exist_ok=True)

@@ -73,11 +73,17 @@ def thread_budget() -> int:
     return 1
 
 
+def _start_worker():
+    no_grad().__enter__()
+    np.seterr(over="ignore", invalid="ignore")
+
+
 def hypothesis_pool(hypotheses: int) -> ThreadPoolExecutor:
     """``min(thread_budget(), hypotheses)`` workers that each enter ``no_grad``
-    as they start and never leave it."""
+    as they start and never leave it. They raise no numpy floating-point
+    warnings: the sampler judges the poses of every forward."""
     workers = min(thread_budget(), hypotheses)
-    return ThreadPoolExecutor(max_workers=workers, initializer=no_grad().__enter__)
+    return ThreadPoolExecutor(max_workers=workers, initializer=_start_worker)
 
 
 @dataclass(frozen=True)

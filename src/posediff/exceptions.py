@@ -2,7 +2,9 @@
 
 ConfigError covers everything a user can fix (bad config values, missing
 files, mismatched checkpoints); the CLI maps it to exit code 1. Every other
-PoseDiffError signals a broken internal invariant and maps to exit code 2.
+PoseDiffError signals a broken internal invariant and maps to exit code 2,
+except a DegeneratePosesError, which ``estimate`` and ``plot`` turn into a
+ConfigError naming the record.
 """
 
 
@@ -24,3 +26,8 @@ class ScheduleError(PoseDiffError):
 
 class NumericsError(PoseDiffError):
     """Non-finite values, degenerate depths, or failed alignments."""
+
+
+class DegeneratePosesError(NumericsError):
+    """Sampled poses that are non-finite or at or behind the camera: the input
+    or the checkpoint's weights put them there, so ``estimate`` exits 1."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule, ddim_step, timestamp_for_iteration
-from .exceptions import ConfigError, NumericsError, ShapeError
+from .exceptions import ConfigError, DegeneratePosesError, ShapeError
 from .rng import gaussian, rng_for
 
 __all__ = [
@@ -107,7 +107,7 @@ def ddim_loop(
     it takes no step and keeps the prediction it would repeat, so
     ``denoise_fn`` runs once per distinct timestamp visited. Stochastic
     steps draw hypothesis h's noise from (``seed``, "ddim", h, m). A
-    non-finite denoiser output raises ``NumericsError``.
+    non-finite denoiser output raises ``DegeneratePosesError``.
     """
     y = hyp.hypotheses
     t_cur = sched.T
@@ -118,7 +118,7 @@ def ddim_loop(
             if y0_hat.shape != y.shape:
                 raise ShapeError(f"denoiser returned {y0_hat.shape}, expected {y.shape}")
             if not np.isfinite(y0_hat).all():
-                raise NumericsError(f"denoiser returned non-finite poses at t={t_cur}")
+                raise DegeneratePosesError(f"denoiser returned non-finite poses at t={t_cur}")
         if m == M:
             break
         t_next = timestamp_for_iteration(m, M, sched.T)
@@ -142,7 +142,7 @@ def reproject(poses: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
         idx = tuple(int(i) for i in np.argwhere(z <= DEPTH_EPSILON)[0])
         axes = ("hypothesis", "frame", "joint")[-len(idx):]
         where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, idx[-3:]))
-        raise NumericsError(f"degenerate depth {z[idx]:.3g} at {where}")
+        raise DegeneratePosesError(f"degenerate depth {z[idx]:.3g} at {where}")
     u = cam.fx * poses[..., 0] / z + cam.cx
     v = cam.fy * poses[..., 1] / z + cam.cy
     return np.stack([u, v], axis=-1)

@@ -436,7 +436,6 @@ class TestTrainCommand:
         return args, tmp_path / "run" / "ckpt_last.ptc"
 
     # keypoints x 1e27 are finite in float32, but their squares overflow
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_loss_exits_one_before_any_checkpoint(self, tmp_path, capsys):
         """``mse_loss`` overflows to inf, and ``sqrt``'s backward then sends finite
         zeros: the loss itself is judged before the step's backward and update."""
@@ -451,7 +450,7 @@ class TestTrainCommand:
         assert main(["train", "--preset", "tiny", "--config", str(config), "--data", str(data),
                      "--out", str(run), "--epochs", "2"]) == 1
         err = capsys.readouterr().err
-        assert f"error: training on {data}: step 1: training loss is inf" in err
+        assert err == f"error: training on {data}: step 1: training loss is inf; no checkpoint holds it\n"
         assert list(run.iterdir()) == []
 
     @pytest.mark.parametrize("moment", ["m", "v"])
@@ -556,6 +555,32 @@ class TestTrainCommand:
 
 
 class TestEstimateCommand:
+    @pytest.mark.parametrize("cause, judged", [("keypoints", "degenerate depth"),
+                                               ("head_w", "denoiser returned non-finite poses")])
+    def test_overflowing_input_exits_one_naming_record(self, tmp_path, capsys, cause, judged):
+        """Keypoints x 1e27 put a hypothesis behind the camera, and a ``head/w``
+        x 1e30 makes the denoiser's poses overflow: both are bad input, not a bug."""
+        data, out, ckpt = tmp_path / "d.ptc", tmp_path / "p.ptc", tmp_path / "run" / "ckpt_last.ptc"
+        save_dataset(data, synth_generate(4, 16, 17, seed=1))
+        assert main(["train", "--preset", "tiny", "--data", str(data), "--out", str(ckpt.parent),
+                     "--steps", "1"]) == 0
+        if cause == "keypoints":
+            records = load_dataset(data)
+            for rec in records:
+                rec.keypoints_2d = rec.keypoints_2d * 1e27
+            save_dataset(data, records)
+        else:
+            tensors, meta = read_container(ckpt)
+            tensors["weights/head/w"] = tensors["weights/head/w"] * 1e30
+            write_container(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert main(["estimate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--hypotheses", "4", "--iterations", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: estimating record 'seq000' of {data} from {ckpt}: {judged}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_prediction_container_layout(self, workspace):
         tensors, meta = read_container(workspace["pred"])
         assert meta["kind"] == "predictions"

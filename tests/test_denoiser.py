@@ -21,6 +21,7 @@ from posediff.denoiser import (
 from posediff.exceptions import ShapeError
 from posediff.prompts import HashTextEncoder, PromptBank, PromptSpec
 
+from test_autodiff import matmul
 from test_prompts import stub_encoder
 
 
@@ -456,7 +457,7 @@ class TestDenoise:
             monkeypatch.setattr(denoiser, "linear", primitive)
             out, grads, inferred = run()
             monkeypatch.setattr(
-                denoiser, "linear", lambda x, w, b=None: x @ w if b is None else x @ w + b
+                denoiser, "linear", lambda x, w, b=None: matmul(x, w) if b is None else matmul(x, w) + b
             )
             ref_out, ref_grads, ref_inferred = run()
             np.testing.assert_array_equal(out, ref_out, err_msg=str(flags))
