@@ -17,9 +17,10 @@ a graph, a sequence's frames and joints flatten into one 2-D GEMM) and
 ``layer_norm``'s variance sums. ``gelu`` takes scipy's ``erf`` while recording
 or at float64, and a chunked float32 rational (``_gelu_f32``) for a float32
 input it records no node for (inference). Under ``no_grad`` all four write into
-dead buffers from the thread's arena (``_buffer``), kept until the thread's
-outermost ``no_grad`` block exits (a ``denoiser.hypothesis_pool`` worker never
-leaves its block). Every gradient in the package reduces to the rules below.
+dead buffers from the thread's arena (``_buffer``), kept until its outermost
+``no_grad`` block exits (a ``denoiser.hypothesis_pool`` worker never leaves its
+block); in grad mode, from an installed ``Workspace``, as do their backwards.
+Every gradient in the package reduces to the rules below.
 Anything outside the set raises NotImplementedError at graph time.
 
 Gradients accumulate into ``.grad`` (a plain ndarray) on leaf tensors with
@@ -32,21 +33,30 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections import deque
+from itertools import islice
 
 import numpy as np
 from scipy.special import erf
 
 __all__ = ["Tensor", "no_grad", "concat", "attention", "gelu", "layer_norm", "linear"]
 
+
 # grad mode is thread-local: concurrent inference threads each disable graph
 # construction for themselves without touching the training thread. A depth
 # counter (not save/restore) keeps balanced enter/exit pairs safe even when
-# contexts overlap rather than nest.
-_state = threading.local()
+# contexts overlap rather than nest. Defaults live on the class: a failed lookup costs 1 us.
+class _State(threading.local):
+    no_grad_depth = 0
+    workspace = None  # the installed Workspace
+    sweep = False  # whether Tensor.backward's sweep runs
+
+
+_state = _State()
 
 
 def _grad_enabled() -> bool:
-    return getattr(_state, "no_grad_depth", 0) == 0
+    return _state.no_grad_depth == 0
 
 
 def _recording(*tensors) -> bool:
@@ -62,7 +72,7 @@ class no_grad:
     """Context manager that skips graph construction (inference mode)."""
 
     def __enter__(self):
-        _state.no_grad_depth = getattr(_state, "no_grad_depth", 0) + 1
+        _state.no_grad_depth += 1
 
     def __exit__(self, *exc):
         _state.no_grad_depth -= 1
@@ -70,7 +80,17 @@ class no_grad:
             vars(_state).pop("arena", None)
 
 
-def _refcounts(pool: list) -> list:
+class Workspace(dict):
+    """The arena ``_buffer`` serves grad mode from while installed (``with``)."""
+
+    def __enter__(self):
+        _state.workspace = self
+
+    def __exit__(self, *exc):
+        del _state.workspace
+
+
+def _refcounts(pool) -> list:
     """``sys.getrefcount`` of each buffer in ``pool``: the arena's liveness test."""
     return [sys.getrefcount(buf) for buf in pool]
 
@@ -82,19 +102,42 @@ _DEAD = _refcounts([np.empty(1)])[0] if hasattr(sys, "getrefcount") else None
 
 
 def _buffer(shape, dtype) -> np.ndarray:
-    """An uninitialized array; under no_grad, a dead one from the thread's arena.
+    """An uninitialized array; under no_grad or in a ``Workspace``, a dead one from an arena.
 
-    The arena keys flat buffers by (size, dtype); one is dead when the arena
-    holds its only reference (a view, ``Tensor`` or attention sink keeps it alive).
+    Pools are keyed by (size, dtype, whether ``Tensor.backward``'s sweep runs),
+    so the sweep never scans the graph's buffers. One is dead when the arena
+    holds its only reference (a view, ``Tensor``, closure or attention sink
+    keeps it alive). A workspace scans on from its last hand-out, as each step
+    asks in the same order; no_grad takes the first dead one, likelier in cache
+    (scanning from a cursor cost a tiny no-grad forward 3-5%).
     """
-    if _grad_enabled() or _DEAD is None:
+    grad = _grad_enabled()
+    if _DEAD is None or (grad and _state.workspace is None):
         return np.empty(shape, dtype)
-    pool = vars(_state).setdefault("arena", {}).setdefault((math.prod(shape), np.dtype(dtype)), [])
-    for buf, refs in zip(pool, _refcounts(pool)):
-        if refs == _DEAD:
-            return buf.reshape(shape)
-    pool.append(np.empty(math.prod(shape), dtype))
-    return pool[-1].reshape(shape)
+    arena = _state.workspace if grad else vars(_state).setdefault("arena", {})
+    pool = arena.setdefault((math.prod(shape), np.dtype(dtype), _state.sweep), deque())
+    refs = _refcounts(islice(pool, 1) if grad else pool)  # a workspace checks its front first
+    if grad and refs != [_DEAD]:
+        refs = _refcounts(pool)
+    if _DEAD not in refs:
+        pool.append(np.empty(math.prod(shape), dtype))
+        return pool[-1].reshape(shape)
+    i = refs.index(_DEAD)
+    if grad:  # a workspace's next scan starts after it
+        pool.rotate(-1 - i)
+    return pool[-1 if grad else i].reshape(shape)
+
+
+def _fresh(ufunc, *operands) -> np.ndarray:
+    """``ufunc(*operands)`` into a ``_buffer``: numpy's own loop, so the same bits."""
+    return ufunc(*operands, out=_buffer(np.broadcast(*operands).shape, np.result_type(*operands)))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of two (stacks of) matrices into a ``_buffer``."""
+    lead_a, lead_b = a.shape[:-2], b.shape[:-2]
+    lead = lead_a if lead_a == lead_b or not lead_b else np.broadcast_shapes(lead_a, lead_b)
+    return np.matmul(a, b, out=_buffer(lead + (a.shape[-2], b.shape[-1]), np.result_type(a, b)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -138,8 +181,6 @@ class Tensor:
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor (defaults to d(self)/d(self)=1)."""
-        if grad is None:
-            grad = np.ones_like(self.data)
         # Iterative topological order; graphs get deep enough that recursion
         # would hit the interpreter limit.
         topo, visited, stack = [], set(), [(self, False)]
@@ -157,16 +198,21 @@ class Tensor:
                     stack.append((p, False))
 
         # keyed by the node itself: Tensor defines no __eq__, so it hashes by identity
-        grads = {self: np.asarray(grad)}
-        for node in reversed(topo):
-            g = grads.pop(node)  # sent by its children, all earlier in this order
-            if node._backward is None:
-                node._accumulate(g)
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if parent.requires_grad:
-                    prev = grads.get(parent)
-                    grads[parent] = pg if prev is None else prev + pg
+        grads = {self: np.ones_like(self.data) if grad is None else np.asarray(grad)}
+        _state.sweep = True  # a workspace serves the sweep from its own pools
+        try:
+            for node in reversed(topo):
+                g = grads.pop(node)  # sent by its children, all earlier in this order
+                if node._backward is None:
+                    node._accumulate(g)
+                    continue
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if parent.requires_grad:
+                        prev = grads.get(parent)
+                        grads[parent] = pg if prev is None else (  # a weight's sum lives all sweep
+                            prev + pg if parent._backward is None else _fresh(np.add, prev, pg))
+        finally:
+            del _state.sweep
 
     # -- shape helpers ------------------------------------------------------
 
@@ -319,8 +365,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float, sink=No
     """
     q4, k4, v4 = (_head_split(t.data, heads) for t in (q, k, v))
     kt = np.swapaxes(k4, -1, -2)
-    shape = np.broadcast_shapes(q4.shape[:-2], kt.shape[:-2]) + (q4.shape[-2], kt.shape[-1])
-    a = np.matmul(q4, kt, out=_buffer(shape, np.result_type(q4, kt)))
+    a = _matmul(q4, kt)
     factor = np.asarray(scale, a.dtype)  # the composition's constant operand
     a *= factor
     a -= _row_max(a)
@@ -333,11 +378,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float, sink=No
 
     def backward(g):
         go = _head_split(g, heads)
-        ga = _unbroadcast(go @ np.swapaxes(v4, -1, -2), a.shape)
-        gv = _unbroadcast(np.swapaxes(a, -1, -2) @ go, v4.shape)
-        gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) * factor
-        gq = _unbroadcast(gs @ np.swapaxes(kt, -1, -2), q4.shape)
-        gk = np.swapaxes(_unbroadcast(np.swapaxes(q4, -1, -2) @ gs, kt.shape), -1, -2)
+        ga = _unbroadcast(_matmul(go, np.swapaxes(v4, -1, -2)), a.shape)
+        gv = _unbroadcast(_matmul(np.swapaxes(a, -1, -2), go), v4.shape)
+        gs = _fresh(np.multiply, a, _fresh(np.subtract, ga, _fresh(np.multiply, ga, a).sum(
+            axis=-1, keepdims=True)))
+        gs *= factor
+        gq = _unbroadcast(_matmul(gs, np.swapaxes(kt, -1, -2)), q4.shape)
+        gk = np.swapaxes(_unbroadcast(_matmul(np.swapaxes(q4, -1, -2), gs), kt.shape), -1, -2)
         return tuple(g4.swapaxes(-3, -2).reshape(t.shape) for g4, t in zip((gq, gk, gv), (q, k, v)))
 
     return Tensor._make(out, (q, k, v), backward)
@@ -426,9 +473,12 @@ def gelu(x: Tensor) -> Tensor:
     cdf *= 0.5
     out = np.multiply(x.data, cdf, out=_buffer(x.shape, x.data.dtype))
 
-    def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+    def backward(g):  # the ufuncs of g * (cdf + x * exp(-0.5 * x * x) * _INV_SQRT2PI), in order
+        pdf = _fresh(np.multiply, -0.5, x.data)
+        np.exp(np.multiply(pdf, x.data, out=pdf), out=pdf)
+        pdf *= _INV_SQRT2PI
+        np.add(cdf, np.multiply(x.data, pdf, out=pdf), out=pdf)
+        return (_fresh(np.multiply, g, pdf),)
 
     return Tensor._make(out, (x,), backward)
 
@@ -440,39 +490,34 @@ def layer_norm(x: Tensor, scale: Tensor, offset: Tensor, eps: float = 1e-5) -> T
     x - x.mean(-1)``, ``xc * ((xc * xc).mean(-1) + eps) ** -0.5 * scale + offset``
     in order at x's dtype, centring into one ``_buffer`` and scaling it in place;
     only the variance's row sums are an ``einsum`` when nothing is recorded. The
-    node, parents ``(x, x, scale, offset)``, keeps row statistics: its backward
-    recomputes ``xc`` and ``xc * r`` from x, which must not change until then;
-    x takes the subtract path's gradient, then the mean path's.
+    node, parents ``(x, x, scale, offset)``, keeps the row mean and 1/std: its
+    backward recomputes ``xc`` and ``xc * r`` from x, which must not change
+    until then; x takes the subtract path's gradient, then the mean path's.
     """
     x, scale, offset = _as_tensor(x), _as_tensor(scale), _as_tensor(offset)
     inv_n = np.asarray(1.0 / x.shape[-1], x.data.dtype)  # Tensor.mean's constant
-    s1 = x.data.sum(axis=-1, keepdims=True)
-    mu = s1 * inv_n
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
     out = np.subtract(x.data, mu, out=_buffer(x.shape, x.data.dtype))
     s2 = ((out * out).sum(axis=-1, keepdims=True) if _recording(x, scale, offset)
           else np.einsum("...i,...i->...", out, out)[..., None])
-    var = s2 * inv_n
-    ve = var + np.asarray(eps, x.data.dtype)
+    ve = s2 * inv_n + np.asarray(eps, x.data.dtype)
     r = ve**-0.5
     out *= r
     out *= scale.data
     out += offset.data
 
-    # The row statistics live as long as the graph, as the composed nodes kept
-    # them: with MALLOC_MMAP_THRESHOLD_ set, glibc trims the heap a step frees
-    # and the next step re-faults it; these small blocks pin it (a tiny step:
-    # 160-1,200 page faults with them, 1,400-4,400 and up to 20,000 without).
-    def backward(g, rows=(s1, mu, s2, var)):
-        xc = x.data - mu
-        y1 = xc * r
-        gy1 = _unbroadcast(g * scale.data, y1.shape)
-        gxc = _unbroadcast(gy1 * r, xc.shape)
-        gve = _unbroadcast(gy1 * xc, r.shape) * -0.5 * ve**-1.5
-        twin = np.broadcast_to(gve * inv_n, xc.shape) * xc  # (xc * xc)'s gradient, once per factor
+    def backward(g):
+        xc = _fresh(np.subtract, x.data, mu)
+        y1 = _fresh(np.multiply, xc, r)
+        gy1 = _unbroadcast(_fresh(np.multiply, g, scale.data), y1.shape)
+        gxc = _unbroadcast(_fresh(np.multiply, gy1, r), xc.shape)
+        gve = _unbroadcast(_fresh(np.multiply, gy1, xc), r.shape) * -0.5 * ve**-1.5
+        twin = _fresh(np.multiply, np.broadcast_to(gve * inv_n, xc.shape), xc)  # per xc of xc*xc
         gxc += twin
         gxc += twin
-        gmean = np.broadcast_to(_unbroadcast(-gxc, r.shape) * inv_n, x.shape)
-        return gxc, gmean, _unbroadcast(g * y1, scale.shape), _unbroadcast(g, offset.shape)
+        gmean = np.broadcast_to(_unbroadcast(_fresh(np.negative, gxc), r.shape) * inv_n, x.shape)
+        gscale = _unbroadcast(_fresh(np.multiply, g, y1), scale.shape)
+        return gxc, gmean, gscale, _unbroadcast(g, offset.shape)
 
     return Tensor._make(out, (x, x, scale, offset), backward)
 
@@ -499,13 +544,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise NotImplementedError("linear weight must be 2-D")
     rows = x.data if _recording(x, weight, bias) else x.data.reshape(
         *x.shape[:-3], -1, x.shape[-1])
-    out = np.matmul(rows, weight.data, out=_buffer(
-        rows.shape[:-1] + weight.shape[-1:], np.result_type(rows, weight.data)))
+    out = _matmul(rows, weight.data)
     out += bias.data
 
     def backward(g):
-        gx = _unbroadcast(g @ weight.data.T, x.shape)
-        gw = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.shape)
+        gx = _unbroadcast(_matmul(g, weight.data.T), x.shape)
+        gw = _unbroadcast(_matmul(np.swapaxes(x.data, -1, -2), g), weight.shape)
         return gx, gw, _unbroadcast(g, bias.shape)
 
     return Tensor._make(out.reshape(*x.shape[:-1], -1), (x, weight, bias), backward)

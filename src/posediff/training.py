@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, Workspace
 from .container import _is_int, read_container, write_container
 from .diffusion import NoiseSchedule, forward_diffuse
 from .exceptions import ConfigError, NumericsError, ShapeError
@@ -121,6 +121,9 @@ class Trainer:
     draws a fresh timestamp and diffusion noise per sample, runs a single
     denoise pass, and minimizes the mean per-sample reconstruction loss.
     ``bank`` is None exactly when the model runs without prompts (``use_fpp``).
+    Steps take their graph and backward buffers from the trainer's ``workspace``,
+    so a trainer holds about one graph of them until it is dropped (also the
+    trainer ``cli.run_train`` returns).
     """
 
     def __init__(self, model, bank, sched: NoiseSchedule, cfg: TrainConfig, seed: int):
@@ -136,6 +139,7 @@ class Trainer:
         self.epoch = 0
         self.epoch_step = 0  # batches of ``epoch`` already taken
         self.logs: list = []
+        self.workspace = Workspace()  # kept across calls: a run may take a step per call
 
     def train_epoch(self, samples: list, max_steps: int | None = None) -> float:
         """The rest of the current epoch over the shuffled dataset; returns the
@@ -150,48 +154,45 @@ class Trainer:
         order = rng_for(self.seed, "epoch", epoch, "shuffle").permutation(len(samples))
         dtype = self.model.dtype
         losses = []
-        for step in range(0, len(order), self.cfg.batch_size)[self.epoch_step:]:
-            if max_steps is not None and self.opt.step_count >= max_steps:
-                break
-            t0 = time.perf_counter()
-            batch = order[step : step + self.cfg.batch_size]
-            self.opt.zero_grad()
-            total = None
-            err_sum, err_n = 0.0, 0
-            for slot, idx in enumerate(batch):
-                x, y0, action = samples[int(idx)]
-                y0 = np.asarray(y0, dtype=dtype)
-                t = int(
-                    rng_for(self.seed, "epoch", epoch, "step", step, "t", slot).integers(
-                        1, self.sched.T + 1
-                    )
+        with self.workspace:
+            for step in range(0, len(order), self.cfg.batch_size)[self.epoch_step:]:
+                if max_steps is not None and self.opt.step_count >= max_steps:
+                    break
+                t0 = time.perf_counter()
+                batch = order[step : step + self.cfg.batch_size]
+                self.opt.zero_grad()
+                total = None
+                err_sum, err_n = 0.0, 0
+                for slot, idx in enumerate(batch):
+                    x, y0, action = samples[int(idx)]
+                    y0 = np.asarray(y0, dtype=dtype)
+                    t = int(rng_for(self.seed, "epoch", epoch, "step", step, "t", slot)
+                            .integers(1, self.sched.T + 1))
+                    eps = gaussian(y0.shape, self.seed, "epoch", epoch, "step", step, "noise",
+                                   slot, dtype=dtype)
+                    yt = forward_diffuse(y0, t, self.sched, eps)
+                    prompt = prompt_for(self.bank, action)
+                    y0_hat = self.model.denoise(yt, np.asarray(x, dtype=dtype), t, prompt)
+                    term = mse_loss(y0, y0_hat)
+                    total = term if total is None else total + term
+                    err = np.linalg.norm(y0_hat.data - y0, axis=-1)
+                    err_sum += float(err.sum())
+                    err_n += err.size
+                loss = total * (1.0 / len(batch))
+                value = float(loss.data)
+                if not np.isfinite(value):  # an overflow's gradients can all be finite zeros
+                    raise NumericsError(f"step {self.opt.step_count + 1}: training loss is {value}")
+                loss.backward()
+                self.opt.step(lr)
+                del total, term, y0_hat, loss  # the step's graph: its buffers are dead for the next
+                wall = (time.perf_counter() - t0) * 1e3
+                losses.append(value)
+                self.logs.append(
+                    StepLog(epoch, self.opt.step_count, value, err_sum / err_n, lr, wall)
                 )
-                eps = gaussian(
-                    y0.shape, self.seed, "epoch", epoch, "step", step, "noise", slot,
-                    dtype=dtype,
-                )
-                yt = forward_diffuse(y0, t, self.sched, eps)
-                prompt = prompt_for(self.bank, action)
-                y0_hat = self.model.denoise(yt, np.asarray(x, dtype=dtype), t, prompt)
-                term = mse_loss(y0, y0_hat)
-                total = term if total is None else total + term
-                err = np.linalg.norm(y0_hat.data - y0, axis=-1)
-                err_sum += float(err.sum())
-                err_n += err.size
-            loss = total * (1.0 / len(batch))
-            value = float(loss.data)
-            if not np.isfinite(value):  # an overflow's gradients can all be finite zeros
-                raise NumericsError(f"step {self.opt.step_count + 1}: training loss is {value}")
-            loss.backward()
-            self.opt.step(lr)
-            wall = (time.perf_counter() - t0) * 1e3
-            losses.append(value)
-            self.logs.append(
-                StepLog(epoch, self.opt.step_count, value, err_sum / err_n, lr, wall)
-            )
-            self.epoch_step += 1
-        else:
-            self.epoch, self.epoch_step = epoch + 1, 0
+                self.epoch_step += 1
+            else:
+                self.epoch, self.epoch_step = epoch + 1, 0
         return float(np.mean(losses)) if losses else float("nan")
 
 

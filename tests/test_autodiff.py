@@ -8,7 +8,8 @@ import pytest
 from scipy.special import erf
 
 from posediff import autodiff
-from posediff.autodiff import Tensor, _buffer, _row_max, attention, concat, gelu, layer_norm, linear, no_grad
+from posediff.autodiff import (Tensor, Workspace, _buffer, _row_max, attention, concat, gelu,
+                               layer_norm, linear, no_grad)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -275,7 +276,7 @@ def test_layer_norm_node_keeps_no_array_of_x_shape():
                         for s in ((3, 5, 16), 16, 16))
     out = layer_norm(x, scale, offset)
     held = [c.cell_contents for c in out._backward.__closure__]
-    for default in out._backward.__defaults__:
+    for default in out._backward.__defaults__ or ():
         held += default if isinstance(default, tuple) else [default]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert arrays and all(a.shape != x.shape for a in arrays)
@@ -693,11 +694,42 @@ def test_no_reference_counts_means_no_arena(monkeypatch):
         assert getattr(autodiff._state, "arena", None) is None
 
 
-def test_grad_mode_buffer_is_fresh_and_builds_no_arena():
+def test_grad_mode_buffer_outside_a_workspace_is_fresh_and_builds_no_arena():
     a = _buffer((4, 6), np.float64)
     b = _buffer((4, 6), np.float64)
     assert not np.shares_memory(a, b)
     assert getattr(autodiff._state, "arena", None) is None
+    assert not {"workspace", "sweep"} & vars(autodiff._state).keys()
+
+
+def test_workspace_hands_out_only_buffers_nothing_holds():
+    x = Tensor(np.random.default_rng(4).standard_normal((4, 6)), requires_grad=True)
+    workspace = Workspace()
+    with workspace:
+        dead = _buffer((4, 6), np.float64)
+        addr = address(dead)
+        del dead
+        assert address(_buffer((6, 4), np.float64)) == addr  # same size, other shape
+        view = _buffer((4, 6), np.float64).T
+        y = gelu(x)  # the node holds its output, its backward closure Phi
+        (phi,) = (c.cell_contents for c in y._backward.__closure__
+                  if isinstance(c.cell_contents, np.ndarray))
+        held = {address(view), address(y.data), address(phi)}
+        del phi
+        assert len(held) == 3 and len(workspace) == 1  # one (size, dtype, sweep) pool
+        fresh = [_buffer((24,), np.float64) for _ in range(3)]
+        dead = {address(a) for a in fresh}
+        assert not held & dead
+        del fresh
+        autodiff._state.sweep = True  # the sweep's requests take a pool of their own
+        try:
+            assert address(_buffer((4, 6), np.float64)) not in dead | held
+        finally:
+            del autodiff._state.sweep
+        del view, y  # the graph and the view are dropped: their buffers serve again
+        again = {address(_buffer((4, 6), np.float64)) for _ in range(6)}
+        assert held <= again and sum(map(len, workspace.values())) == 7
+    assert not {"workspace", "sweep"} & vars(autodiff._state).keys()
 
 
 def test_arena_lives_until_the_outermost_no_grad_exits():

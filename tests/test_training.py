@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import posediff
+from posediff import autodiff, training
 from posediff.autodiff import Tensor
 from posediff.denoiser import Denoiser, DenoiserConfig, weight_shapes
 from posediff.diffusion import build_schedule
@@ -210,6 +216,86 @@ class TestTrainEpoch:
         row = trainer.logs[0]
         assert row.epoch == 0 and row.step == 1
         assert row.loss > 0 and row.train_mpjpe > 0 and row.lr > 0
+
+
+def workspace_is_dead(trainer):
+    return trainer.workspace and all(
+        refs == autodiff._DEAD for pool in trainer.workspace.values()
+        for refs in autodiff._refcounts(pool))
+
+
+# 20 tiny steps after 2 warm-up steps under the benchmark's malloc setting, in a
+# fresh process; prints the minor page faults per step
+FAULT_PROBE = """
+import resource
+from posediff.cli import _training_samples
+from posediff.config import build_runtime, load_config
+from posediff.data import synth_generate
+from posediff.training import Trainer
+
+cfg = load_config(None, "tiny", overrides={"data": {"n_frames": 16}})
+runtime = build_runtime(cfg)
+samples = _training_samples(synth_generate(8, 16, 17, seed=7), runtime)
+trainer = Trainer(runtime.model, runtime.bank, runtime.sched, runtime.train_config, cfg["seed"])
+
+
+def faults_per_step(n):
+    start, goal = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, trainer.opt.step_count + n
+    while trainer.opt.step_count < goal:
+        trainer.train_epoch(samples, max_steps=goal)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / n
+
+
+faults_per_step(2)
+print(faults_per_step(20))
+"""
+# Over PYTHONHASHSEED 1-16 a tiny step took 71-192 faults; it took 912-1,610 with
+# two graphs alive and no workspace, and about 25,000 freeing its graph without one.
+FAULTS_PER_STEP_BOUND = 500
+
+
+class TestWorkspace:
+    def test_no_buffer_is_allocated_after_the_first_step(self, monkeypatch):
+        trainer, samples = make_trainer(seed=14), make_samples(8)  # 4 steps an epoch
+        allocations, empty = [], np.empty
+
+        def counted_empty(*args, **kw):
+            if sys._getframe(1).f_code is autodiff._buffer.__code__:
+                allocations.append(trainer.opt.step_count + 1)  # the step under way
+            return empty(*args, **kw)
+
+        monkeypatch.setattr(np, "empty", counted_empty)
+        for max_steps in (1, None, None):  # one step, the epoch's rest, then another epoch
+            trainer.train_epoch(samples, max_steps=max_steps)
+            assert workspace_is_dead(trainer)
+            assert not {"workspace", "sweep"} & vars(autodiff._state).keys()
+        assert trainer.opt.step_count == 8 and set(allocations) == {1}
+
+    @pytest.mark.parametrize("where", ["loss", "backward"])
+    def test_failed_step_leaves_no_workspace_or_sweep_flag(self, monkeypatch, where):
+        samples = make_samples(2)
+        if where == "loss":  # squares overflow: the step raises before its backward
+            samples = [(x, y * 1e200, action) for x, y, action in samples]
+        else:  # a node's backward raises inside the sweep
+            loss = training.mse_loss
+
+            def failing(g):
+                raise NumericsError("injected")
+
+            monkeypatch.setattr(training, "mse_loss", lambda y0, y0_hat: Tensor._make(
+                loss(y0, y0_hat).data, (y0_hat,), failing))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            make_trainer(seed=15).train_epoch(samples)
+        assert not {"workspace", "sweep"} & vars(autodiff._state).keys()
+
+    def test_tiny_step_page_faults_stay_bounded(self):
+        src = os.path.dirname(os.path.dirname(posediff.__file__))
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", PYTHONHASHSEED="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                               text=True, timeout=300, check=True)
+        assert float(probe.stdout) < FAULTS_PER_STEP_BOUND
 
 
 class TestCheckpoint:
